@@ -35,6 +35,7 @@ from .trainer import (
     EvalResult,
     TrainConfig,
     TrainHistory,
+    compare,
     denormalize,
     evaluate,
     load_train_config,
@@ -66,6 +67,7 @@ __all__ = [
     "UNetConfig",
     "UnsupportedVersionError",
     "apply_poisson",
+    "compare",
     "denormalize",
     "evaluate",
     "export_pgm",

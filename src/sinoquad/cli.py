@@ -31,7 +31,7 @@ from .simulate import (
 )
 from .trainer import (
     TrainConfig,
-    evaluate,
+    compare,
     load_train_config,
     model_predictor,
     replication_predictor,
@@ -138,13 +138,7 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     model = load_checkpoint(args.model)
     sino = _read_sinogram(getattr(args, "in"))
-    pred = model_predictor(model)(sino.data)
-    out = Sinogram(
-        pred,
-        start_angle_deg=sino.start_angle_deg,
-        angular_range_deg=sino.angular_range_deg,
-        bin_width=sino.bin_width,
-    )
+    out = dataclasses.replace(sino, data=model_predictor(model)(sino.data))
     write_tomo(args.out, out)
     print(f"wrote {args.out}")
     return 0
@@ -234,33 +228,15 @@ def cmd_reproduce(args) -> int:
     sparse = subsample_views(reference, 4)
     noisy = apply_poisson(sparse, args.noise, args.seed)
 
-    predicted = Sinogram(
-        model_predictor(model)(noisy.data),
-        start_angle_deg=noisy.start_angle_deg,
-        angular_range_deg=noisy.angular_range_deg,
-        bin_width=noisy.bin_width,
-    )
-    replicated = Sinogram(
-        replication_predictor()(noisy.data),
-        start_angle_deg=noisy.start_angle_deg,
-        angular_range_deg=noisy.angular_range_deg,
-        bin_width=noisy.bin_width,
-    )
-
-    denoise_rows = {
-        "replicated": MetricsReport.from_pair(reference.data, replicated.data),
-        "proposed": MetricsReport.from_pair(reference.data, predicted.data),
-    }
-
     recon_cfg = ReconConfig(
         n_subsets=args.subsets, n_iterations=args.iters, image_size=args.size
     )
-    rec_standard = osem(noisy, recon_cfg)
-    rec_proposed = osem(predicted, recon_cfg)
-    recon_rows = {
-        "standard": MetricsReport.from_pair(phantom.data, rec_standard.data),
-        "proposed": MetricsReport.from_pair(phantom.data, rec_proposed.data),
-    }
+    predicted, proposed, (rec_proposed, rec_standard) = compare(
+        model_predictor(model), noisy, reference, phantom, recon_cfg
+    )
+    _, replicated, _ = compare(replication_predictor(), noisy, reference)
+    denoise_rows = {"replicated": replicated.sinogram, "proposed": proposed.sinogram}
+    recon_rows = {"standard": proposed.recon_standard, "proposed": proposed.recon}
 
     for name, obj in [
         ("phantom", phantom),

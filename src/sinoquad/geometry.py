@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Image", "Sinogram", "fov_radius", "fov_mask"]
+__all__ = ["GeometryError", "Image", "Sinogram", "fov_radius", "fov_mask", "view_angles_deg"]
 
 FOV_FRACTION = 0.48
 
@@ -24,6 +25,23 @@ def _validate_2d(data: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+class GeometryError(ValueError):
+    """A geometry field of an Image or Sinogram is non-finite or out of range."""
+
+
+def _check_geometry(name: str, value: float, positive: bool = True) -> None:
+    if not math.isfinite(value) or (positive and not value > 0):
+        kind = "finite and positive" if positive else "finite"
+        raise GeometryError(f"{name} must be {kind}, got {value}")
+
+
+def view_angles_deg(n_angles: int, start_deg: float = 0.0, range_deg: float = 360.0) -> np.ndarray:
+    """Evenly spaced view angles, endpoint excluded."""
+    if n_angles < 1:
+        raise ValueError(f"n_angles must be >= 1, got {n_angles}")
+    return start_deg + np.arange(n_angles) * (range_deg / n_angles)
+
+
 @dataclass
 class Image:
     """A nonnegative 2-D activity map on a square pixel grid."""
@@ -33,8 +51,7 @@ class Image:
 
     def __post_init__(self):
         self.data = _validate_2d(self.data, "image")
-        if not self.pixel_size > 0:
-            raise ValueError(f"pixel_size must be positive, got {self.pixel_size}")
+        _check_geometry("pixel_size", self.pixel_size)
 
     @property
     def height(self) -> int:
@@ -61,12 +78,9 @@ class Sinogram:
 
     def __post_init__(self):
         self.data = _validate_2d(self.data, "sinogram")
-        if not self.angular_range_deg > 0:
-            raise ValueError(
-                f"angular_range_deg must be positive, got {self.angular_range_deg}"
-            )
-        if not self.bin_width > 0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        _check_geometry("start_angle_deg", self.start_angle_deg, positive=False)
+        _check_geometry("angular_range_deg", self.angular_range_deg)
+        _check_geometry("bin_width", self.bin_width)
 
     @property
     def n_angles(self) -> int:
@@ -77,8 +91,7 @@ class Sinogram:
         return self.data.shape[1]
 
     def angles_deg(self) -> np.ndarray:
-        n = self.n_angles
-        return self.start_angle_deg + np.arange(n) * (self.angular_range_deg / n)
+        return view_angles_deg(self.n_angles, self.start_angle_deg, self.angular_range_deg)
 
 
 def fov_radius(width: int) -> float:

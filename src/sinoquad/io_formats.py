@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Image, Sinogram
+from .geometry import GeometryError, Image, Sinogram
 
 __all__ = [
     "TomoFormatError",
@@ -146,11 +146,14 @@ def read_tomo(path):
         )
     data = np.frombuffer(blob, dtype="<f4", count=dims[0] * dims[1], offset=header_len)
     data = data.reshape(dims).astype(np.float32)
-    if kind == KIND_IMAGE:
-        return Image(data, pixel_size=geom[0])
-    return Sinogram(
-        data, start_angle_deg=geom[0], angular_range_deg=geom[1], bin_width=geom[2]
-    )
+    try:
+        if kind == KIND_IMAGE:
+            return Image(data, pixel_size=geom[0])
+        return Sinogram(
+            data, start_angle_deg=geom[0], angular_range_deg=geom[1], bin_width=geom[2]
+        )
+    except GeometryError as exc:
+        raise TomoFormatError(f"{path}: {exc} (geometry at offset {12 + 4 * ndim})") from None
 
 
 def import_raw(

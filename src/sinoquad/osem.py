@@ -44,6 +44,12 @@ class ReconConfig:
             raise ValueError(f"image_size must be >= 16, got {self.image_size}")
 
 
+def _projector(sino: Sinogram, height: int, width: int):
+    """The cached projector for a sinogram's geometry and an image grid."""
+    geometry = (sino.start_angle_deg, sino.angular_range_deg, sino.n_bins, sino.bin_width)
+    return get_projector(height, width, sino.n_angles, *geometry)
+
+
 def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image:
     """Reconstruct an image from a nonnegative parallel-beam sinogram.
 
@@ -62,15 +68,7 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
         )
 
     size = cfg.image_size
-    proj = get_projector(
-        size,
-        size,
-        sino.n_angles,
-        start_angle_deg=sino.start_angle_deg,
-        angular_range_deg=sino.angular_range_deg,
-        n_bins=sino.n_bins,
-        bin_width=sino.bin_width,
-    )
+    proj = _projector(sino, size, size)
 
     subsets = []
     for k in range(cfg.n_subsets):
@@ -111,15 +109,7 @@ def log_likelihood(sino: Sinogram, image: Image) -> float:
     Bins with Ax == 0 contribute -inf when y > 0 and 0 when y == 0.
     """
     y = np.asarray(sino.data, dtype=np.float64)
-    proj = get_projector(
-        image.height,
-        image.width,
-        sino.n_angles,
-        start_angle_deg=sino.start_angle_deg,
-        angular_range_deg=sino.angular_range_deg,
-        n_bins=sino.n_bins,
-        bin_width=sino.bin_width,
-    )
+    proj = _projector(sino, image.height, image.width)
     fp = proj.forward(image.data)
     if np.any((fp <= 0) & (y > 0)):
         return float("-inf")

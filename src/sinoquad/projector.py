@@ -9,7 +9,7 @@ sets are nested in finer ones whenever the counts divide.
 
 Each view is materialised once as a sparse matrix and cached, which makes
 repeated projection, backprojection and iterative reconstruction cheap and
-makes the adjoint exact by construction (it is the transpose).
+makes the adjoint exact by construction (the transpose view, never a copy).
 
 Raw bilinear ray sampling gives a per-pixel detector sensitivity (column
 sum) that wobbles by a few percent at diagonal angles, which would leak
@@ -34,19 +34,12 @@ from math import comb
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Image, Sinogram, fov_radius
+from .geometry import Image, Sinogram, fov_radius, view_angles_deg
 
 __all__ = ["ParallelProjector", "get_projector", "project", "view_angles_deg"]
 
 SAMPLE_STEP = 0.25  # pixels along the ray; contract requires <= 0.5
 _BALANCE_ORDER = 6  # binomial window spans _BALANCE_ORDER + 1 detector bins
-
-
-def view_angles_deg(n_angles: int, start_deg: float = 0.0, range_deg: float = 360.0) -> np.ndarray:
-    """Evenly spaced view angles, endpoint excluded."""
-    if n_angles < 1:
-        raise ValueError(f"n_angles must be >= 1, got {n_angles}")
-    return start_deg + np.arange(n_angles) * (range_deg / n_angles)
 
 
 def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int, bin_width: float) -> sp.csr_matrix:
@@ -182,7 +175,6 @@ class ParallelProjector:
             for theta in self.angles_deg
         ]
         self.matrix = sp.vstack(blocks, format="csr")
-        self._adjoint = self.matrix.T.tocsr()
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         img = np.asarray(image, dtype=np.float64)
@@ -200,7 +192,7 @@ class ParallelProjector:
                 f"sinogram shape {sino.shape} does not match projector "
                 f"{(self.n_angles, self.n_bins)}"
             )
-        out = self._adjoint @ sino.ravel()
+        out = self.matrix.T @ sino.ravel()
         return out.reshape(self.height, self.width)
 
     def view_rows(self, angle_indices) -> np.ndarray:
@@ -211,10 +203,11 @@ class ParallelProjector:
         return (idx[:, None] * self.n_bins + np.arange(self.n_bins)[None, :]).ravel()
 
     def subset_operators(self, angle_indices):
-        """(forward, adjoint) sparse matrices restricted to some views."""
-        rows = self.view_rows(angle_indices)
-        a = self.matrix[rows]
-        return a, a.T.tocsr()
+        """(forward, adjoint) sparse matrices restricted to some views.
+
+        The adjoint is a transpose view sharing the forward matrix's arrays."""
+        a = self.matrix[self.view_rows(angle_indices)]
+        return a, a.T
 
 
 @lru_cache(maxsize=8)

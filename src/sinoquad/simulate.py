@@ -235,13 +235,7 @@ def apply_poisson(sino: Sinogram, level, seed: int, index: int = 0) -> Sinogram:
     lam = sino.data.astype(np.float64) * scale
     gen = rng_mod.stream(seed, index, _NOISE_PURPOSE[level.label])
     counts = rng_mod.sample_poisson(lam, gen)
-    noisy = (counts / scale).astype(np.float32)
-    return Sinogram(
-        noisy,
-        start_angle_deg=sino.start_angle_deg,
-        angular_range_deg=sino.angular_range_deg,
-        bin_width=sino.bin_width,
-    )
+    return dataclasses.replace(sino, data=(counts / scale).astype(np.float32))
 
 
 def subsample_views(sino: Sinogram, factor: int) -> Sinogram:
@@ -250,12 +244,7 @@ def subsample_views(sino: Sinogram, factor: int) -> Sinogram:
         raise ValueError(
             f"factor {factor} must divide the view count {sino.n_angles}"
         )
-    return Sinogram(
-        sino.data[::factor].copy(),
-        start_angle_deg=sino.start_angle_deg,
-        angular_range_deg=sino.angular_range_deg,
-        bin_width=sino.bin_width,
-    )
+    return dataclasses.replace(sino, data=sino.data[::factor].copy())
 
 
 def _level_for_index(noise: str, index: int) -> str:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
-from .geometry import Sinogram
+from .geometry import Image, Sinogram
 from .io_formats import read_manifest, read_tomo
 from .metrics import MetricsReport
 from .osem import ReconConfig, osem
@@ -261,7 +261,11 @@ class EvalResult:
         }
 
 
-def _aggregate(reports: list[MetricsReport], metadata: dict) -> MetricsReport:
+def _aggregate(results: list[EvalResult], arm: str, metadata: dict) -> MetricsReport | None:
+    """Mean of one arm's reports over pairs; None when the arm was not scored."""
+    reports = [getattr(r, arm) for r in results]
+    if reports[0] is None:
+        return None
     meta = dict(metadata)
     meta["n_pairs"] = len(reports)
     return MetricsReport(
@@ -271,6 +275,34 @@ def _aggregate(reports: list[MetricsReport], metadata: dict) -> MetricsReport:
         psnr=float(np.mean([r.psnr for r in reports])),
         metadata=meta,
     )
+
+
+def compare(
+    predict,
+    noisy: Sinogram,
+    target: Sinogram,
+    phantom: Image | None = None,
+    recon_config: ReconConfig | None = None,
+) -> tuple[Sinogram, EvalResult, tuple[Image, Image] | None]:
+    """The paper's comparison for one noisy sparse-view sinogram.
+
+    Returns (predicted sinogram, scores vs the clean target, recons). Given
+    a phantom, recons is (OSEM of the prediction, OSEM of the noisy input),
+    scored against it as scores.recon and scores.recon_standard.
+    """
+    pred = np.asarray(predict(noisy.data), dtype=np.float32)
+    if pred.shape != target.data.shape:
+        raise ValueError(
+            f"prediction shape {pred.shape} does not match target {target.data.shape}"
+        )
+    predicted = replace(target, data=np.maximum(pred, 0.0))
+    sino_report = MetricsReport.from_pair(target.data, pred)
+    if phantom is None:
+        return predicted, EvalResult(sino_report), None
+    cfg = recon_config or ReconConfig(image_size=phantom.data.shape[0])
+    recons = (osem(predicted, cfg), osem(noisy, cfg))
+    recon, standard = (MetricsReport.from_pair(phantom.data, r.data) for r in recons)
+    return predicted, EvalResult(sino_report, recon, standard), recons
 
 
 def evaluate(
@@ -293,33 +325,17 @@ def evaluate(
         raise ValueError(f"no evaluation pairs in {manifest}" + (f" for noise={noise}" if noise else ""))
     root = Path(manifest).parent
     meta = {"noise": noise or "all"}
-    sino_reports, recon_reports, standard_reports = [], [], []
+    results = []
     for row in rows:
-        noisy = read_tomo(root / row["input"])
-        target = read_tomo(root / row["target"])
-        pred = np.asarray(predict(noisy.data), dtype=np.float32)
-        if pred.shape != target.data.shape:
-            raise ValueError(
-                f"prediction shape {pred.shape} does not match target {target.data.shape}"
-            )
-        sino_reports.append(MetricsReport.from_pair(target.data, pred))
-        if include_recon:
-            phantom = read_tomo(root / row["phantom"])
-            cfg = recon_config or ReconConfig(image_size=phantom.data.shape[0])
-            pred_sino = Sinogram(
-                np.maximum(pred, 0.0),
-                start_angle_deg=target.start_angle_deg,
-                angular_range_deg=target.angular_range_deg,
-                bin_width=target.bin_width,
-            )
-            recon_reports.append(
-                MetricsReport.from_pair(phantom.data, osem(pred_sino, cfg).data)
-            )
-            standard_reports.append(
-                MetricsReport.from_pair(phantom.data, osem(noisy, cfg).data)
-            )
+        phantom = read_tomo(root / row["phantom"]) if include_recon else None
+        _, result, _ = compare(
+            predict,
+            read_tomo(root / row["input"]),
+            read_tomo(root / row["target"]),
+            phantom,
+            recon_config,
+        )
+        results.append(result)
     return EvalResult(
-        sinogram=_aggregate(sino_reports, meta),
-        recon=_aggregate(recon_reports, meta) if recon_reports else None,
-        recon_standard=_aggregate(standard_reports, meta) if standard_reports else None,
+        *(_aggregate(results, arm, meta) for arm in ("sinogram", "recon", "recon_standard"))
     )

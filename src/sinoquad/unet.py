@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -237,25 +237,34 @@ def load_checkpoint(path) -> UNet:
         header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TomoFormatError(f"checkpoint {path} header is not valid JSON: {exc}") from exc
-    config = UNetConfig(**header["config"])
-    model = UNet(config)
-    expected = [(name, list(shape)) for name, shape in _layer_table(config)]
-    stored = [(name, list(shape)) for name, shape in header["arrays"]]
-    if stored != expected:
+    config = header.get("config") if isinstance(header, dict) else None
+    if not (
+        isinstance(config, dict)
+        and set(config) <= {f.name for f in fields(UNetConfig)}
+        and all(type(v) is int or (k == "bottleneck_channels" and v is None)
+                for k, v in config.items())
+    ):
+        raise TomoFormatError(f"checkpoint {path} header has no valid UNetConfig object")
+    config = UNetConfig(**config)
+    expected = [[name, list(shape)] for name, shape in _layer_table(config)]
+    if header.get("arrays") != expected:
         raise TomoFormatError(
             f"checkpoint {path} array table does not match its embedded config"
         )
     offset = 12 + header_len
-    for name, shape in stored:
+    arrays = {}  # read all before building the model, so a short file allocates nothing
+    for name, shape in expected:
         n = int(np.prod(shape))
         end = offset + 4 * n
         if end > len(blob):
             raise TruncatedFileError(
                 f"checkpoint {path} payload truncated in array {name!r}"
             )
-        arr = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape)
-        model.params[name].data = arr.copy()
+        arrays[name] = np.frombuffer(blob, "<f4", count=n, offset=offset).reshape(shape)
         offset = end
     if offset != len(blob):
         raise TomoFormatError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
+    model = UNet(config)
+    for name, arr in arrays.items():
+        model.params[name].data = arr.copy()
     return model

@@ -1,6 +1,8 @@
 """Command line behavior: exit codes, chaining, structured errors."""
 
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from sinoquad.geometry import Image, Sinogram
 from sinoquad.io_formats import read_manifest, read_tomo, write_tomo
 from sinoquad.simulate import PhantomRecipe, make_dataset
 from sinoquad.trainer import TrainConfig, train
+from sinoquad.unet import UNet, UNetConfig, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,42 @@ class TestExitCodes:
         assert code == 2
         assert "expected a sinogram" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_geometry_is_data_error(self, tmp_path, capsys, value):
+        path = tmp_path / "sino.sptb"
+        write_tomo(path, Sinogram(np.ones((16, 64), dtype=np.float32)))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 20, value)  # start angle
+        path.write_bytes(bytes(blob))
+        code = main(["recon", "--in", str(path), "--size", "64", "--iters", "1",
+                     "--out", str(tmp_path / "rec.sptb")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "start_angle_deg" in err
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {**h, "config": {**h["config"], "extra": 1}},
+        lambda h: {**h, "config": {**h["config"], "base_channels": "1"}},
+        lambda h: {**h, "arrays": 5},
+        lambda h: [h],
+    ], ids=["extra-config-key", "string-base-channels", "arrays-not-a-list", "header-is-a-list"])
+    def test_malformed_checkpoint_header_is_data_error(self, tmp_path, capsys, edit):
+        good = tmp_path / "good.sptc"
+        save_checkpoint(UNet(UNetConfig(base_channels=1, in_angles=16, out_angles=64,
+                                        detector_bins=64)), good)
+        blob = good.read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 8)
+        header = json.dumps(edit(json.loads(blob[12 : 12 + size]))).encode()
+        bad = tmp_path / "bad.sptc"
+        bad.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header + blob[12 + size :])
+        sino = tmp_path / "sino.sptb"
+        write_tomo(sino, Sinogram(np.ones((16, 64), dtype=np.float32)))
+        code = main(["infer", "--model", str(bad), "--in", str(sino),
+                     "--out", str(tmp_path / "out.sptb")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: data:")
+
 
 class TestPipelineChain:
     def test_phantom_then_project_shapes(self, tmp_path, capsys):
@@ -121,13 +160,20 @@ class TestPipelineChain:
 
     def test_infer_quadruples_views(self, workspace, tmp_path):
         rows = read_manifest(workspace / "data" / "manifest.jsonl")
-        noisy = workspace / "data" / rows[0]["input"]
-        out = tmp_path / "denoised.sptb"
-        assert main(["infer", "--model", str(workspace / "model.sptc"),
-                     "--in", str(noisy), "--out", str(out)]) == 0
-        sino = read_tomo(out)
-        assert sino.data.shape == (64, 64)
-        assert sino.data.min() >= 0
+        noisy = read_tomo(workspace / "data" / rows[0]["input"])
+        # the default geometry, and one that differs from it in every field
+        for geometry in ({}, {"start_angle_deg": 15.0, "angular_range_deg": 180.0,
+                              "bin_width": 0.5}):
+            given = dataclasses.replace(noisy, **geometry)
+            write_tomo(tmp_path / "noisy.sptb", given)
+            out = tmp_path / "denoised.sptb"
+            assert main(["infer", "--model", str(workspace / "model.sptc"),
+                         "--in", str(tmp_path / "noisy.sptb"), "--out", str(out)]) == 0
+            sino = read_tomo(out)
+            assert sino.data.shape == (64, 64)
+            assert sino.data.min() >= 0
+            assert (sino.start_angle_deg, sino.angular_range_deg, sino.bin_width) == (
+                given.start_angle_deg, given.angular_range_deg, given.bin_width)
 
 
 class TestTrainCommand:

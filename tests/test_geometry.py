@@ -30,6 +30,8 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"pixel_size": 0.0},
         {"pixel_size": -1.0},
+        {"pixel_size": np.inf},
+        {"pixel_size": np.nan},
     ])
     def test_image_pixel_size_positive(self, kwargs):
         with pytest.raises(ValueError, match="pixel_size"):
@@ -39,6 +41,12 @@ class TestValidation:
         ({"angular_range_deg": 0.0}, "angular_range_deg"),
         ({"angular_range_deg": -90.0}, "angular_range_deg"),
         ({"bin_width": 0.0}, "bin_width"),
+        ({"start_angle_deg": np.inf}, "start_angle_deg"),
+        ({"start_angle_deg": np.nan}, "start_angle_deg"),
+        ({"angular_range_deg": np.inf}, "angular_range_deg"),
+        ({"angular_range_deg": np.nan}, "angular_range_deg"),
+        ({"bin_width": np.inf}, "bin_width"),
+        ({"bin_width": np.nan}, "bin_width"),
     ])
     def test_sinogram_field_validation(self, kwargs, hint):
         with pytest.raises(ValueError, match=hint):

@@ -146,6 +146,18 @@ class TestTomoHostileInputs:
         with pytest.raises(TomoFormatError, match="trailing"):
             read_tomo(self.write(tmp_path, valid_blob() + b"\x00\x00"))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("make,slot", [
+        (sample_image, 0), (sample_sinogram, 0), (sample_sinogram, 1), (sample_sinogram, 2),
+    ])
+    def test_non_finite_geometry(self, tmp_path, make, slot, value):
+        path = tmp_path / "good.sptb"
+        write_tomo(path, make())
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<d", blob, 20 + 8 * slot, value)
+        with pytest.raises(TomoFormatError, match="finite.*offset 20"):
+            read_tomo(self.write(tmp_path, bytes(blob)))
+
 
 class TestImportRaw:
     def test_f32_import(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import brute_force_view, disk_image, disk_profile
 from sinoquad.geometry import Image, fov_mask, fov_radius
@@ -140,6 +141,13 @@ class TestAdjointAndSubsets:
             lhs = float((proj.forward(x) * y).sum())
             rhs = float((x * proj.adjoint(y)).sum())
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+        np.testing.assert_array_equal(
+            proj.adjoint(y), (proj.matrix.T @ y.ravel()).reshape(64, 64)
+        )
+
+    def test_stores_only_the_forward_matrix(self):
+        proj = ParallelProjector(32, 32, 4)
+        assert [name for name, v in vars(proj).items() if sp.issparse(v)] == ["matrix"]
 
     def test_subset_rows_match_full_matrix(self):
         proj = get_projector(64, 64, 16)
@@ -149,6 +157,10 @@ class TestAdjointAndSubsets:
         full = proj.forward(img)
         np.testing.assert_array_equal((a_sub @ img.ravel()).reshape(4, 64), full[idx])
         assert (a_sub_t != a_sub.T).nnz == 0
+        assert np.shares_memory(a_sub_t.data, a_sub.data)  # a view, not a copy
+        # the view's matvec sums in the same order as a transposed copy's
+        r = np.random.default_rng(12).random(4 * 64)
+        np.testing.assert_array_equal(a_sub_t @ r, a_sub.T.tocsr() @ r)
 
     def test_view_rows_bounds(self):
         proj = get_projector(64, 64, 16)

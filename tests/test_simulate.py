@@ -1,5 +1,6 @@
 """Phantoms, counting noise, and dataset generation."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -24,6 +25,13 @@ from sinoquad.simulate import (
     subsample_views,
 )
 from sinoquad.simulate import _SHEPP_LOGAN
+
+# the default geometry, and one that differs from it in every field
+GEOMETRIES = [{}, {"start_angle_deg": 15.0, "angular_range_deg": 180.0, "bin_width": 0.5}]
+
+
+def geometry_of(sino):
+    return (sino.start_angle_deg, sino.angular_range_deg, sino.bin_width)
 
 
 class TestRecipe:
@@ -142,14 +150,13 @@ class TestApplyPoisson:
         assert not noisy.data[sino.data == 0.0].any()
 
     def test_geometry_preserved_and_units_restored(self):
-        sino = self.make_sino()
-        noisy = apply_poisson(sino, "low", seed=4)
-        assert noisy.data.dtype == np.float32
-        assert noisy.start_angle_deg == sino.start_angle_deg
-        assert noisy.angular_range_deg == sino.angular_range_deg
-        assert noisy.bin_width == sino.bin_width
-        # a million counts leave the total within a percent of the original
-        assert float(noisy.data.sum()) == pytest.approx(float(sino.data.sum()), rel=0.01)
+        for geometry in GEOMETRIES:
+            sino = dataclasses.replace(self.make_sino(), **geometry)
+            noisy = apply_poisson(sino, "low", seed=4)
+            assert noisy.data.dtype == np.float32
+            assert geometry_of(noisy) == geometry_of(sino)
+            # a million counts leave the total within a percent of the original
+            assert float(noisy.data.sum()) == pytest.approx(float(sino.data.sum()), rel=0.01)
 
     def test_zero_mass_rejected(self):
         empty = Sinogram(np.zeros((4, 8), dtype=np.float32))
@@ -169,11 +176,12 @@ class TestApplyPoisson:
 
 class TestSubsampleViews:
     def test_exact_rows(self):
-        sino = project(shepp_logan(64), 16)
-        sub = subsample_views(sino, 4)
-        np.testing.assert_array_equal(sub.data, sino.data[::4])
-        assert sub.n_angles == 4
-        assert sub.angular_range_deg == sino.angular_range_deg
+        for geometry in GEOMETRIES:
+            sino = dataclasses.replace(project(shepp_logan(64), 16), **geometry)
+            sub = subsample_views(sino, 4)
+            np.testing.assert_array_equal(sub.data, sino.data[::4])
+            assert sub.n_angles == 4
+            assert geometry_of(sub) == geometry_of(sino)
 
     @pytest.mark.parametrize("factor", [0, 3, 5])
     def test_non_dividing_factor_rejected(self, factor):

@@ -4,6 +4,7 @@ Geometry is kept small (64px images, 16 -> 64 views, narrow models) so
 the whole file runs in well under a minute on one core.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from sinoquad.trainer import (
     _load_pairs,
     _normalized_batch,
     _split_indices,
+    compare,
     denormalize,
     evaluate,
     load_train_config,
@@ -308,6 +310,32 @@ class TestEvaluate:
     def test_missing_level_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="noise=high"):
             evaluate(replication_predictor(), tiny_dataset, noise="high")
+
+    def test_compare_keeps_geometry_and_reconstructs_both_arms(self, tiny_dataset):
+        from sinoquad.metrics import MetricsReport
+        from sinoquad.osem import ReconConfig, osem
+
+        row = read_manifest(tiny_dataset)[0]
+        root = tiny_dataset.parent
+        # one geometry that differs from the default in every field
+        geometry = {"start_angle_deg": 15.0, "angular_range_deg": 180.0, "bin_width": 0.5}
+        noisy = dataclasses.replace(read_tomo(root / row["input"]), **geometry)
+        target = dataclasses.replace(read_tomo(root / row["target"]), **geometry)
+        phantom = read_tomo(root / row["phantom"])
+        cfg = ReconConfig(n_subsets=4, n_iterations=2, image_size=64)
+
+        predicted, scores, recons = compare(replication_predictor(), noisy, target, phantom, cfg)
+        assert (predicted.start_angle_deg, predicted.angular_range_deg, predicted.bin_width) == (
+            15.0, 180.0, 0.5)
+        np.testing.assert_array_equal(predicted.data, np.repeat(noisy.data, 4, axis=0))
+        np.testing.assert_array_equal(recons[0].data, osem(predicted, cfg).data)
+        np.testing.assert_array_equal(recons[1].data, osem(noisy, cfg).data)
+        assert scores.recon == MetricsReport.from_pair(phantom.data, recons[0].data)
+        assert scores.recon_standard == MetricsReport.from_pair(phantom.data, recons[1].data)
+
+        _, sino_only, none = compare(replication_predictor(), noisy, target)
+        assert none is None and sino_only.recon is None
+        assert sino_only.sinogram == scores.sinogram
 
     def test_wrong_prediction_shape_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="prediction shape"):

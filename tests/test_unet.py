@@ -248,3 +248,27 @@ class TestCheckpoint:
         bad.write_bytes(blob[:8] + struct.pack("<I", len(doctored)) + doctored + blob[12 + hlen:])
         with pytest.raises(TomoFormatError, match="does not match"):
             load_checkpoint(bad)
+
+    def test_short_file_allocates_no_model(self, tmp_path):
+        import json
+        import struct
+        import tracemalloc
+
+        # a valid header for a base-48 model (about 50 M weights) and no payload
+        config = UNetConfig(base_channels=48)
+        header = {
+            "config": {"base_channels": 48}, "normalization": "per_sinogram_max",
+            "dtype": "f32",
+            "arrays": [[name, list(shape)] for name, shape in unet_mod._layer_table(config)],
+        }
+        blob = json.dumps(header).encode()
+        path = tmp_path / "short.sptc"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="truncated"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"{peak / 1e6:.0f} MB allocated for a {len(blob) + 12}-byte file"
