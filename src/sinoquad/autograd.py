@@ -106,9 +106,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -183,16 +180,59 @@ def _require_tensor(x, name: str) -> Tensor:
 # convolution
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Unfold zero-padded ("same") windows into a [C*kh*kw, B*H*W] matrix."""
+def _require_4d(x, name: str, op: str) -> Tensor:
+    x = _require_tensor(x, name)
+    if x.data.ndim != 4:
+        raise ShapeMismatchError(f"{op} {name} must be 4-D, got shape {x.shape}")
+    return x
+
+
+def _check_bias(bias, c_out: int, op: str) -> Optional[Tensor]:
+    if bias is None:
+        return None
+    bias = _require_tensor(bias, "bias")
+    if bias.shape != (c_out,):
+        raise ShapeMismatchError(f"{op} bias shape {bias.shape} != ({c_out},)")
+    return bias
+
+
+def _conv_op(out: np.ndarray, x: Tensor, weight: Tensor, bias: Optional[Tensor], grads) -> Tensor:
+    """Record a convolution's output, plus its bias, as a node of the graph.
+
+    grads(g) returns (gx, gw); a bias is the third parent, and its gradient
+    sums g over batch and space.
+    """
+    if bias is None:
+        return _from_op(np.ascontiguousarray(out), (x, weight), grads)
+
+    def backward(g: np.ndarray):
+        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
+        return grads(g) + (gb,)
+
+    return _from_op(out + bias.data[None, :, None, None], (x, weight, bias), backward)
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Unfold zero-padded ("same") k x k windows into a [C*k*k, B*H*W] matrix."""
     b, c, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # [B, C, H, W, kh, kw] -> [C, kh, kw, B, H, W] -> flat
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * h * w)
+    p = k // 2
+    if p:
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    # [B, C, H, W, k, k] -> [C, k, k, B, H, W] -> flat
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * h * w)
     return np.ascontiguousarray(cols)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """"Same" cross-correlation of x [B,C_in,H,W] with w [C_out,C_in,k,k].
+
+    One GEMM over the im2col columns of x; the output is [B,C_out,H,W].
+    """
+    b, _, h, wd = x.shape
+    c_out, k = w.shape[0], w.shape[2]
+    out = w.reshape(c_out, -1) @ _im2col(x, k)  # reduction over (channel, k-row, k-col), fixed order
+    return np.ascontiguousarray(out.reshape(c_out, b, h, wd).transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -201,12 +241,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     Zero "same" padding, stride 1, odd square kernels only. Output is
     [B,C_out,H,W].
     """
-    x = _require_tensor(x, "input")
-    weight = _require_tensor(weight, "weight")
-    if x.data.ndim != 4:
-        raise ShapeMismatchError(f"conv2d input must be 4-D, got shape {x.shape}")
-    if weight.data.ndim != 4:
-        raise ShapeMismatchError(f"conv2d weight must be 4-D, got shape {weight.shape}")
+    x = _require_4d(x, "input", "conv2d")
+    weight = _require_4d(weight, "weight", "conv2d")
     b, c_in, h, w = x.shape
     c_out, wc_in, kh, kw = weight.shape
     if wc_in != c_in:
@@ -216,43 +252,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         )
     if kh != kw or kh % 2 == 0:
         raise ShapeMismatchError(f"conv2d kernel must be odd and square, got {kh}x{kw}")
-    if bias is not None:
-        bias = _require_tensor(bias, "bias")
-        if bias.shape != (c_out,):
-            raise ShapeMismatchError(
-                f"conv2d bias shape {bias.shape} != ({c_out},)"
-            )
+    bias = _check_bias(bias, c_out, "conv2d")
 
-    cols = _im2col(x.data, kh, kw)
-    wflat = weight.data.reshape(c_out, c_in * kh * kw)
-    out = wflat @ cols  # reduction over (channel, k-row, k-col), fixed order
-    out = out.reshape(c_out, b, h, w).transpose(1, 0, 2, 3)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
-    out = np.ascontiguousarray(out)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray):
-        gx = gw = gb = None
+    def grads(g: np.ndarray):
+        gx = gw = None
         if x.requires_grad:
             # full correlation with the flipped kernel, channels swapped
-            wback = weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            wback = np.ascontiguousarray(wback).reshape(c_in, c_out * kh * kw)
-            gcols = _im2col(g, kh, kw)
-            gx = (wback @ gcols).reshape(c_in, b, h, w).transpose(1, 0, 2, 3)
-            gx = np.ascontiguousarray(gx)
+            gx = _correlate(g, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
         if weight.requires_grad:
-            cols_again = _im2col(x.data, kh, kw)
+            cols = _im2col(x.data, kh)  # recomputed: keeping the forward's costs ~75 MB a layer
             gflat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, b * h * w)
-            gw = (gflat @ cols_again.T).reshape(c_out, c_in, kh, kw)
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        if bias is None:
-            return gx, gw
-        return gx, gw, gb
+            gw = (gflat @ cols.T).reshape(c_out, c_in, kh, kw)
+        return gx, gw
 
-    return _from_op(out, parents, backward)
+    return _conv_op(_correlate(x.data, weight.data), x, weight, bias, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +282,30 @@ def _check_stride(stride) -> tuple[int, int]:
     return sh, sw
 
 
-def _convt_forward(x: np.ndarray, w: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    b, c_in, h, wd = x.shape
-    c_out = w.shape[1]
-    t = np.tensordot(x, w, axes=([1], [0]))  # [B, H, W, C_out, 2, 2]
-    out = np.zeros((b, c_out, sh * h, sw * wd), dtype=x.dtype)
+def _pad_taps(y: np.ndarray, sh: int, sw: int) -> np.ndarray:
+    """Append the zero row (column) that _tap_windows reads on a stride-1 axis."""
+    if sh == 2 and sw == 2:
+        return y
+    return np.pad(y, ((0, 0), (0, 0), (0, 2 - sh), (0, 2 - sw)))
+
+
+def _tap_windows(y: np.ndarray, sh: int, sw: int, h: int, wd: int):
+    """Yield (di, dj, window) for each tap of the 2x2 kernel.
+
+    Tap (di, dj) of input pixel (i, j) lands on (sh*i + di, sw*j + dj) of y,
+    which is output-shaped plus one trailing row (column) on a stride-1
+    axis; window is the [B, C, h, wd] view of y holding those pixels.
+    """
     for di in range(2):
         for dj in range(2):
-            hi = h - di if sh == 1 else h
-            wi = wd - dj if sw == 1 else wd
-            if hi <= 0 or wi <= 0:
-                continue
-            block = t[:, :hi, :wi, :, di, dj].transpose(0, 3, 1, 2)
-            if sh == 1:
-                rows = slice(di, di + hi)
-            else:
-                rows = slice(di, di + 2 * hi, 2)
-            if sw == 1:
-                colsl = slice(dj, dj + wi)
-            else:
-                colsl = slice(dj, dj + 2 * wi, 2)
-            out[:, :, rows, colsl] += block
+            yield di, dj, y[:, :, di::sh, dj::sw][:, :, :h, :wd]
+
+
+def _convt_adjoint(yp: np.ndarray, weight: np.ndarray, sh: int, sw: int, h: int, wd: int) -> np.ndarray:
+    """conv_transpose2d_adjoint of a _pad_taps-padded y, mapping down to [B, C_in, h, wd]."""
+    out = np.zeros((yp.shape[0], weight.shape[0], h, wd), dtype=yp.dtype)
+    for di, dj, win in _tap_windows(yp, sh, sw, h, wd):
+        out += np.tensordot(win, weight[:, :, di, dj], axes=([1], [1])).transpose(0, 3, 1, 2)
     return out
 
 
@@ -298,30 +314,17 @@ def conv_transpose2d_adjoint(y: np.ndarray, weight: np.ndarray, stride) -> np.nd
 
     Maps [B, C_out, sh*H, sw*W] down to [B, C_in, H, W]. For a stride-1
     axis the window that would read past the edge sees an implicit zero
-    (the transposed op drops that tap). Plain ndarray helper, used by the
-    transposed convolution's backward pass and by adjointness tests.
+    (the transposed op drops that tap). Plain ndarray helper, used by
+    adjointness tests.
     """
     sh, sw = _check_stride(stride)
     y = np.asarray(y)
-    b, c_out, hy, wy = y.shape
+    hy, wy = y.shape[2:]
     if hy % sh or wy % sw:
         raise ShapeMismatchError(
             f"adjoint input spatial dims {(hy, wy)} not divisible by stride {(sh, sw)}"
         )
-    h, wd = hy // sh, wy // sw
-    c_in = weight.shape[0]
-    pad_h = 1 if sh == 1 else 0
-    pad_w = 1 if sw == 1 else 0
-    if pad_h or pad_w:
-        y = np.pad(y, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
-    out = np.zeros((b, c_in, h, wd), dtype=y.dtype)
-    for di in range(2):
-        for dj in range(2):
-            win = y[:, :, di::sh, dj::sw][:, :, :h, :wd]
-            out += np.tensordot(win, weight[:, :, di, dj], axes=([1], [1])).transpose(
-                0, 3, 1, 2
-            )
-    return out
+    return _convt_adjoint(_pad_taps(y, sh, sw), weight, sh, sw, hy // sh, wy // sw)
 
 
 def conv_transpose2d(
@@ -333,11 +336,9 @@ def conv_transpose2d(
     the exact adjoint of conv_transpose2d_adjoint with the same weight and
     stride (verified to float round-off by the test suite).
     """
-    x = _require_tensor(x, "input")
+    x = _require_4d(x, "input", "conv_transpose2d")
     weight = _require_tensor(weight, "weight")
     sh, sw = _check_stride(stride)
-    if x.data.ndim != 4:
-        raise ShapeMismatchError(f"conv_transpose2d input must be 4-D, got {x.shape}")
     if weight.data.ndim != 4 or weight.shape[2:] != (2, 2):
         raise ShapeMismatchError(
             f"conv_transpose2d weight must be [C_in,C_out,2,2], got {weight.shape}"
@@ -349,41 +350,26 @@ def conv_transpose2d(
             f"weight expects C_in={weight.shape[0]}"
         )
     c_out = weight.shape[1]
-    if bias is not None:
-        bias = _require_tensor(bias, "bias")
-        if bias.shape != (c_out,):
-            raise ShapeMismatchError(f"conv_transpose2d bias shape {bias.shape} != ({c_out},)")
+    bias = _check_bias(bias, c_out, "conv_transpose2d")
 
-    out = _convt_forward(x.data, weight.data, sh, sw)
-    if bias is not None:
-        out = out + bias.data[None, :, None, None]
+    # scatter each tap into a zero buffer with _tap_windows' extra row/column
+    t = np.tensordot(x.data, weight.data, axes=([1], [0]))  # [B, H, W, C_out, 2, 2]
+    out = np.zeros((b, c_out, sh * h + 2 - sh, sw * wd + 2 - sw), dtype=x.dtype)
+    for di, dj, win in _tap_windows(out, sh, sw, h, wd):
+        win += t[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g: np.ndarray):
-        gx = gw = gb = None
+    def grads(g: np.ndarray):
+        gx = gw = None
+        gp = _pad_taps(g, sh, sw)
         if x.requires_grad:
-            gx = conv_transpose2d_adjoint(g, weight.data, (sh, sw))
+            gx = _convt_adjoint(gp, weight.data, sh, sw, h, wd)
         if weight.requires_grad:
-            pad_h = 1 if sh == 1 else 0
-            pad_w = 1 if sw == 1 else 0
-            gp = g
-            if pad_h or pad_w:
-                gp = np.pad(g, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)))
             gw = np.empty_like(weight.data)
-            for di in range(2):
-                for dj in range(2):
-                    win = gp[:, :, di::sh, dj::sw][:, :, :h, :wd]
-                    gw[:, :, di, dj] = np.tensordot(
-                        x.data, win, axes=([0, 2, 3], [0, 2, 3])
-                    )
-        if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=(0, 2, 3))
-        if bias is None:
-            return gx, gw
-        return gx, gw, gb
+            for di, dj, win in _tap_windows(gp, sh, sw, h, wd):
+                gw[:, :, di, dj] = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
+        return gx, gw
 
-    return _from_op(out, parents, backward)
+    return _conv_op(out[:, :, : sh * h, : sw * wd], x, weight, bias, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +378,7 @@ def conv_transpose2d(
 
 def avgpool2x2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 mean pooling; spatial dims must be even."""
-    x = _require_tensor(x, "input")
-    if x.data.ndim != 4:
-        raise ShapeMismatchError(f"avgpool2x2 input must be 4-D, got {x.shape}")
+    x = _require_4d(x, "input", "avgpool2x2")
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"avgpool2x2 needs even spatial dims, got {h}x{w}")
@@ -421,10 +405,8 @@ def relu(x: Tensor) -> Tensor:
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two [B,C,H,W] tensors along the channel axis."""
-    a = _require_tensor(a, "first input")
-    b = _require_tensor(b, "second input")
-    if a.data.ndim != 4 or b.data.ndim != 4:
-        raise ShapeMismatchError("concat_channels inputs must be 4-D")
+    a = _require_4d(a, "first input", "concat_channels")
+    b = _require_4d(b, "second input", "concat_channels")
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ShapeMismatchError(
             f"concat_channels needs matching batch and spatial dims, got {a.shape} and {b.shape}"

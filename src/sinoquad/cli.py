@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Image, Sinogram
-from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, write_tomo
+from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, write_atomic, write_tomo
 from .metrics import MetricsReport, format_table
 from .osem import ReconConfig, osem
 from .simulate import (
@@ -270,7 +270,8 @@ def cmd_reproduce(args) -> int:
         "denoising": {k: r.to_dict() for k, r in denoise_rows.items()},
         "reconstruction": {k: r.to_dict() for k, r in recon_rows.items()},
     }
-    (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    metrics = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
+    write_atomic(out_dir / "metrics.json", metrics)
     print(f"\nartifacts in {out_dir}")
     return 0
 

@@ -16,6 +16,8 @@ def _validate_2d(data: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(data)
     if arr.ndim != 2:
         raise ValueError(f"{what} data must be 2-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{what} data is empty, got shape {arr.shape}")
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)
     if not np.isfinite(arr).all():
@@ -39,6 +41,8 @@ def view_angles_deg(n_angles: int, start_deg: float = 0.0, range_deg: float = 36
     """Evenly spaced view angles, endpoint excluded."""
     if n_angles < 1:
         raise ValueError(f"n_angles must be >= 1, got {n_angles}")
+    _check_geometry("start_angle_deg", start_deg, positive=False)
+    _check_geometry("angular_range_deg", range_deg)
     return start_deg + np.arange(n_angles) * (range_deg / n_angles)
 
 

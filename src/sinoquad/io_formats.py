@@ -22,7 +22,9 @@ are validated against the real file length before anything is allocated.
 from __future__ import annotations
 
 import json
+import os
 import struct
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ __all__ = [
     "TruncatedFileError",
     "DimensionError",
     "RawImportError",
+    "write_atomic",
     "write_tomo",
     "read_tomo",
     "import_raw",
@@ -76,6 +79,24 @@ class RawImportError(TomoFormatError):
     """Raw import rejected: wrong byte count or invalid sample values."""
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Replace path's contents with data in one step.
+
+    The bytes go to a temporary file in the same directory, which
+    os.replace then renames over path; a failed write leaves any old file
+    untouched and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tomo(path, obj) -> None:
     """Write an Image or Sinogram to an SPTB file."""
     if isinstance(obj, Image):
@@ -95,7 +116,7 @@ def write_tomo(path, obj) -> None:
     header = MAGIC + struct.pack("<BBBB", kind, DTYPE_F32, 2, 0)
     header += struct.pack("<2I", d0, d1)
     header += struct.pack("<3d", *geom)
-    Path(path).write_bytes(header + data.tobytes())
+    write_atomic(path, header + data.tobytes())
 
 
 def read_tomo(path):
@@ -154,6 +175,8 @@ def read_tomo(path):
         )
     except GeometryError as exc:
         raise TomoFormatError(f"{path}: {exc} (geometry at offset {12 + 4 * ndim})") from None
+    except ValueError as exc:  # non-finite or negative samples
+        raise TomoFormatError(f"{path}: {exc} (payload at offset {header_len})") from None
 
 
 def import_raw(
@@ -207,7 +230,7 @@ def export_pgm(path, data) -> None:
         samples = np.clip(scaled, 0, 65535).astype(">u2")
     h, w = arr.shape
     header = f"P5\n{w} {h}\n65535\n".encode("ascii")
-    Path(path).write_bytes(header + samples.tobytes())
+    write_atomic(path, header + samples.tobytes())
 
 
 _MANIFEST_KEYS = ("input", "target", "phantom", "seed", "noise")
@@ -221,7 +244,7 @@ def write_manifest(path, rows) -> None:
         if missing:
             raise ValueError(f"manifest row missing keys {missing}: {row}")
         lines.append(json.dumps(row, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
 def read_manifest(path) -> list[dict]:

@@ -84,7 +84,6 @@ def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int, bin_wid
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_bins, height * width),
     ).tocsr()
-    mat.sum_duplicates()
     return _balance_columns(mat, theta, height, width, n_bins, bin_width)
 
 
@@ -119,32 +118,20 @@ def _balance_columns(
     )
     taper /= taper.sum()
 
-    fixable = (deficit > 1e-12) & (col_sums > 0)
-    avail = np.zeros(height * width)
-    for k, off in enumerate(range(-half, half + 1)):
-        b = centre + off
-        avail += np.where((b >= 0) & (b < n_bins), taper[k], 0.0)
-    fixable &= avail > 0
+    # [taps, pixels] detector bin of each window tap; inside: the tap is on the detector
+    bins = centre[None, :] + np.arange(-half, half + 1)[:, None]
+    inside = (bins >= 0) & (bins < n_bins)
+    avail = np.where(inside, taper[:, None], 0.0).sum(axis=0)
+    fixable = (deficit > 1e-12) & (col_sums > 0) & (avail > 0)
 
-    rows = []
-    cols = []
-    vals = []
-    pix = np.arange(height * width)
-    for k, off in enumerate(range(-half, half + 1)):
-        b = centre + off
-        sel = fixable & (b >= 0) & (b < n_bins)
-        if not sel.any():
-            continue
-        rows.append(b[sel])
-        cols.append(pix[sel])
-        vals.append(deficit[sel] * (taper[k] / avail[sel]))
-    if not rows:
-        return mat.tocsr()
+    tap, pix = np.nonzero(inside & fixable[None, :])
+    if not tap.size:
+        return mat
     topup = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (deficit[pix] * (taper[tap] / avail[pix]), (bins[tap, pix], pix)),
         shape=(n_bins, height * width),
     ).tocsr()
-    return (mat + topup).tocsr()
+    return mat + topup
 
 
 class ParallelProjector:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .geometry import Image, Sinogram
-from .io_formats import read_manifest, read_tomo
+from .io_formats import read_manifest, read_tomo, write_atomic
 from .metrics import MetricsReport
 from .osem import ReconConfig, osem
 from .rng import PURPOSE_SHUFFLE, PURPOSE_SPLIT, stream
@@ -110,7 +110,7 @@ class TrainHistory:
         return asdict(self)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True).encode("utf-8"))
 
 
 def _load_pairs(cfg: TrainConfig):

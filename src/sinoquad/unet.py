@@ -31,6 +31,7 @@ from .io_formats import (
     TomoFormatError,
     TruncatedFileError,
     UnsupportedVersionError,
+    write_atomic,
 )
 from .rng import PURPOSE_INIT, stream
 
@@ -208,12 +209,9 @@ def save_checkpoint(model: UNet, path) -> None:
         "arrays": arrays,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, p in model.params.items():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
+    parts += [np.ascontiguousarray(p.data, dtype="<f4").tobytes() for p in model.params.values()]
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> UNet:

@@ -1,9 +1,13 @@
 """Independent reference computations the tests compare the package against.
 
 Everything here is built from first principles with none of the package's
-projection machinery: brute-force fine-step line integrals, analytic disk
-profiles, and an antialiased disk rasteriser.
+projection or autograd machinery: brute-force fine-step line integrals,
+analytic disk profiles, an antialiased disk rasteriser, loop forms of the
+two convolutions, and a per-tap loop form of the projector's column
+balancing.
 """
+
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,3 +73,90 @@ def disk_profile(radius: float, s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s)
     out[inside] = 2.0 * np.sqrt(radius * radius - s[inside] ** 2)
     return out
+
+
+def conv2d_same(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
+    """Zero-padded "same" cross-correlation, one output pixel and tap at a time.
+
+    out[:, o, i, j] = b[o] + sum over (c, u, v) of
+    w[o, c, u, v] * x[:, c, i + u - k//2, j + v - k//2], zero outside x.
+    """
+    n, _, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    p = k // 2
+    out = np.zeros((n, c_out, h, wd))
+    for i in range(h):
+        for j in range(wd):
+            for u in range(k):
+                for v in range(k):
+                    ii, jj = i + u - p, j + v - p
+                    if 0 <= ii < h and 0 <= jj < wd:
+                        out[:, :, i, j] += x[:, :, ii, jj] @ w[:, :, u, v].T
+    if b is not None:
+        out += b[None, :, None, None]
+    return out
+
+
+def conv_transpose2d_2x2(x: np.ndarray, w: np.ndarray, b, stride) -> np.ndarray:
+    """2x2 transposed convolution by scattering one input pixel at a time.
+
+    Input pixel (i, j) adds x[:, :, i, j] @ w[:, :, di, dj] to output pixel
+    (sh*i + di, sw*j + dj); taps that land past the output edge are dropped.
+    """
+    sh, sw = stride
+    n, _, h, wd = x.shape
+    out = np.zeros((n, w.shape[1], sh * h, sw * wd))
+    for i in range(h):
+        for j in range(wd):
+            for di in range(2):
+                for dj in range(2):
+                    oi, oj = sh * i + di, sw * j + dj
+                    if oi < sh * h and oj < sw * wd:
+                        out[:, :, oi, oj] += x[:, :, i, j] @ w[:, :, di, dj]
+    if b is not None:
+        out += b[None, :, None, None]
+    return out
+
+
+def balance_columns_loop(mat, theta, height, width, n_bins, bin_width, fov_radius, order=6):
+    """The projector's column balancing, one window tap at a time.
+
+    Scale the view so the largest covered column sum is bin_width, then
+    spread each pixel's deficit over the binomial window of `order` + 1
+    bins around its detector coordinate, renormalized over the taps that
+    land on the detector.
+    """
+    col_sums = np.asarray(mat.sum(axis=0)).ravel()
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    yy, xx = np.divmod(np.arange(height * width), width)
+    s_pix = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
+    covered = (np.hypot(xx - cx, yy - cy) <= fov_radius + 2.0) & (col_sums > 0)
+    ref = float(col_sums[covered].max()) if covered.any() else float(col_sums.max())
+    if ref <= 0.0:
+        return mat
+    mat = mat * (bin_width / ref)
+    deficit = bin_width * (1.0 - col_sums / ref)
+    centre = np.rint(s_pix / bin_width + (n_bins - 1) / 2.0).astype(np.int64)
+    taper = np.array([comb(order, k) for k in range(order + 1)], dtype=np.float64)
+    taper /= taper.sum()
+    offsets = range(-(order // 2), order // 2 + 1)
+
+    avail = np.zeros(height * width)
+    for k, off in enumerate(offsets):
+        b = centre + off
+        avail += np.where((b >= 0) & (b < n_bins), taper[k], 0.0)
+    fixable = (deficit > 1e-12) & (col_sums > 0) & (avail > 0)
+    rows, cols, vals = [], [], []
+    for k, off in enumerate(offsets):
+        b = centre + off
+        sel = fixable & (b >= 0) & (b < n_bins)
+        rows.append(b[sel])
+        cols.append(np.flatnonzero(sel))
+        vals.append(deficit[sel] * (taper[k] / avail[sel]))
+    if not sum(len(r) for r in rows):
+        return mat
+    topup = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_bins, height * width),
+    ).tocsr()
+    return mat + topup

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import conv2d_same, conv_transpose2d_2x2
 from sinoquad import autograd as ag
 from sinoquad.autograd import (
     MissingGradientError,
@@ -73,6 +74,16 @@ class TestConv2d:
         err = gradient_check(lambda: mse_loss(conv2d(x, w, b), Tensor(np.zeros((2, 2, 4, 4)))), [x, w, b])
         assert err <= 1e-4
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_loop_oracle(self, rng, k, with_bias):
+        x = rng.standard_normal((2, 3, 6, 7))
+        w = rng.standard_normal((4, 3, k, k))
+        b = rng.standard_normal(4) if with_bias else None
+        got = conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b)).data
+        ref = conv2d_same(x, w, b)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_inputs_not_mutated(self, rng):
         x = rand64(rng, 1, 2, 4, 4)
         w = rand64(rng, 3, 2, 3, 3)
@@ -96,6 +107,17 @@ class TestConvTranspose2d:
         w = rand64(rng, 2, 3, 2, 2)
         out = conv_transpose2d(x, w, stride=stride)
         assert out.shape == expected
+
+    @pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 2), (1, 1)])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_matches_loop_oracle(self, rng, stride, with_bias):
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((3, 2, 2, 2))
+        b = rng.standard_normal(2) if with_bias else None
+        got = conv_transpose2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), stride=stride).data
+        ref = conv_transpose2d_2x2(x, w, b, stride)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_bad_stride_rejected(self, rng):
         with pytest.raises(ShapeMismatchError):

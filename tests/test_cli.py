@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from sinoquad import projector
 from sinoquad.cli import main
 from sinoquad.geometry import Image, Sinogram
 from sinoquad.io_formats import read_manifest, read_tomo, write_tomo
@@ -84,6 +86,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "start_angle_deg" in err
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--start", "nan"], "start_angle_deg"),
+        (["--start", "inf"], "start_angle_deg"),
+        (["--range", "nan"], "angular_range_deg"),
+        (["--range", "-90"], "angular_range_deg"),
+    ])
+    def test_bad_project_geometry_is_data_error(self, tmp_path, capsys, monkeypatch, flags, field):
+        img = tmp_path / "img.sptb"
+        write_tomo(img, Image(np.ones((16, 16), dtype=np.float32)))
+
+        def no_build(*args):
+            raise AssertionError("a projector view was built from invalid geometry")
+
+        monkeypatch.setattr(projector, "_view_matrix", no_build)
+        out = tmp_path / "s.sptb"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["project", "--in", str(img), "--angles", "1", "--out", str(out)] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and field in err
+        assert "\n" not in err.strip()
+        assert not caught
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda h: {**h, "config": {**h["config"], "extra": 1}},
@@ -247,6 +274,16 @@ class TestImportCommand:
         assert main(["import", "--in", str(raw), "--angles", "8", "--bins", "16",
                      "--out", str(tmp_path / "x.sptb")]) == 2
         assert "expected" in capsys.readouterr().err
+
+    def test_empty_dump_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "empty.raw"
+        raw.write_bytes(b"")
+        out = tmp_path / "x.sptb"
+        assert main(["import", "--in", str(raw), "--angles", "0", "--bins", "8",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "empty" in err
+        assert not out.exists()
 
 
 class TestDataDirEnv:

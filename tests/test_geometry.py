@@ -19,6 +19,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="negative"):
             Sinogram(np.array([[-0.5, 1.0]]))
 
+    @pytest.mark.parametrize("make", [Image, Sinogram])
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_rejects_empty(self, make, shape):
+        with pytest.raises(ValueError, match="empty"):
+            make(np.zeros(shape, dtype=np.float32))
+
     def test_integer_input_becomes_float32(self):
         img = Image(np.arange(4, dtype=np.int64).reshape(2, 2))
         assert img.data.dtype == np.float32

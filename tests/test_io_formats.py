@@ -1,11 +1,13 @@
 """Container formats: round-trips, hostile inputs, PGM export, manifests."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import sinoquad.io_formats as io_formats
 from sinoquad.geometry import Image, Sinogram
 from sinoquad.io_formats import (
     MAGIC,
@@ -22,6 +24,8 @@ from sinoquad.io_formats import (
     write_manifest,
     write_tomo,
 )
+from sinoquad.trainer import TrainHistory
+from sinoquad.unet import UNet, UNetConfig, save_checkpoint
 
 
 def sample_image():
@@ -158,6 +162,15 @@ class TestTomoHostileInputs:
         with pytest.raises(TomoFormatError, match="finite.*offset 20"):
             read_tomo(self.write(tmp_path, bytes(blob)))
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+    def test_bad_payload_sample(self, tmp_path, value):
+        path = tmp_path / "good.sptb"
+        write_tomo(path, sample_sinogram())
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, 44 + 4 * 5, value)
+        with pytest.raises(TomoFormatError, match="offset 44"):
+            read_tomo(self.write(tmp_path, bytes(blob)))
+
 
 class TestImportRaw:
     def test_f32_import(self, tmp_path):
@@ -252,3 +265,68 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         path.write_text("\n" + json.dumps(self.ROW, sort_keys=True) + "\n\n")
         assert len(read_manifest(path)) == 1
+
+
+_ROW = {"input": "i.sptb", "target": "t.sptb", "phantom": "p.sptb", "seed": 1, "noise": "low"}
+_WRITERS = {
+    "write_tomo": lambda p: write_tomo(p, sample_sinogram()),
+    "export_pgm": lambda p: export_pgm(p, sample_image()),
+    "write_manifest": lambda p: write_manifest(p, [_ROW]),
+    "save_checkpoint": lambda p: save_checkpoint(UNet(UNetConfig(base_channels=1)), p),
+    "history": lambda p: TrainHistory(train_loss=[0.5]).save(p),
+}
+
+
+class _HalfWriter:
+    """A file that stores half of what it is asked to write, then runs out of space."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+    def write(self, data):
+        self._fh.write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_replaces_contents_and_leaves_nothing_else(self, tmp_path, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        _WRITERS[writer](path)
+        fresh = tmp_path / "fresh.bin"
+        _WRITERS[writer](fresh)
+        assert path.read_bytes() == fresh.read_bytes() != b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.bin", "out.bin"]
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        real_open = open
+        monkeypatch.setattr(io_formats, "open", lambda *a, **k: _HalfWriter(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            _WRITERS[writer](path)
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_rename_removes_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "rename refused")
+
+        monkeypatch.setattr(io_formats.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            io_formats.write_atomic(path, b"new contents")
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

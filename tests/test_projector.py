@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import brute_force_view, disk_image, disk_profile
-from sinoquad.geometry import Image, fov_mask, fov_radius
+import sinoquad.projector as projector_mod
+from oracles import balance_columns_loop, brute_force_view, disk_image, disk_profile
+from sinoquad.geometry import GeometryError, Image, fov_mask, fov_radius
 from sinoquad.projector import ParallelProjector, get_projector, project, view_angles_deg
 from sinoquad.simulate import PhantomRecipe, generate_phantom, shepp_logan
 
@@ -27,6 +28,18 @@ class TestViewAngles:
     def test_bad_count(self):
         with pytest.raises(ValueError, match="n_angles"):
             view_angles_deg(0)
+
+    @pytest.mark.parametrize("args,field", [
+        ((4, np.nan), "start_angle_deg"),
+        ((4, np.inf), "start_angle_deg"),
+        ((4, 0.0, np.nan), "angular_range_deg"),
+        ((4, 0.0, np.inf), "angular_range_deg"),
+        ((4, 0.0, -90.0), "angular_range_deg"),
+        ((4, 0.0, 0.0), "angular_range_deg"),
+    ])
+    def test_bad_geometry(self, args, field):
+        with pytest.raises(GeometryError, match=field):
+            view_angles_deg(*args)
 
 
 class TestLineIntegralAccuracy:
@@ -85,6 +98,20 @@ class TestMassConservation:
             ph = generate_phantom(PhantomRecipe(seed=seed)).data.astype(np.float64)
             rows = proj.forward(ph).sum(axis=1)
             assert np.abs(rows - ph.sum()).max() <= 0.005 * ph.sum()
+
+    @pytest.mark.parametrize("theta,size,n_bins,bin_width", [
+        (0.0, 32, 32, 1.0), (30.9375, 32, 32, 1.0), (45.0, 24, 40, 0.5), (200.0, 16, 12, 1.5),
+    ])
+    def test_balance_matches_tap_loop(self, monkeypatch, theta, size, n_bins, bin_width):
+        calls = []
+        real = projector_mod._balance_columns
+        monkeypatch.setattr(projector_mod, "_balance_columns",
+                            lambda *args: calls.append(args) or real(*args))
+        got = projector_mod._view_matrix(theta, size, size, n_bins, bin_width)
+        (args,) = calls
+        ref = balance_columns_loop(*args, fov_radius=fov_radius(size))
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(ref, attr))
 
     def test_every_covered_pixel_is_balanced(self):
         # column sums inside the field of view are pinned to the bin width

@@ -188,6 +188,18 @@ class TestCheckpoint:
         x = np.random.default_rng(4).random((1, 1, 32, 128), dtype=np.float32)
         np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
 
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path):
+        path = tmp_path / "model.sptc"
+        save_checkpoint(self.small_model(seed=1), path)
+        old = path.read_bytes()
+        model = self.small_model(seed=2)
+        last = list(model.params)[-1]
+        model.params[last].tensor.data = np.array(["not a number"], dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(model, path)  # fails after every other array is serialized
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.sptc"]
+
     def test_magic_prefix(self, tmp_path):
         path = tmp_path / "model.sptc"
         save_checkpoint(self.small_model(), path)
