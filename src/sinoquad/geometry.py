@@ -72,7 +72,8 @@ class Sinogram:
 
     View i sits at start_angle_deg + i * angular_range_deg / n_angles; the
     endpoint is excluded, so 128 views over 360 degrees step by 2.8125 and
-    a 32-view set shares every fourth angle with a 128-view set.
+    a 32-view set shares every fourth angle with a 128-view set. bin_width
+    is both the detector bin size and the pixel size of a reconstruction.
     """
 
     data: np.ndarray

@@ -9,7 +9,9 @@ in a fixed order, so reconstructions are reproducible. The start image is
 uniform 1.0 inside the field of view and 0 outside; pixels with zero
 subset sensitivity are pinned to 0. Where a forward-projected bin is 0
 the data ratio is set to 0 (with noiseless-consistent data this only
-happens when the measured bin is also 0).
+happens when the measured bin is also 0). The projector works in pixel
+units, so the data are divided by the sinogram's bin width, which is also
+the reconstruction's pixel size.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class ReconConfig:
 
 def _projector(sino: Sinogram, height: int, width: int):
     """The cached projector for a sinogram's geometry and an image grid."""
-    geometry = (sino.start_angle_deg, sino.angular_range_deg, sino.n_bins, sino.bin_width)
+    geometry = (sino.start_angle_deg, sino.angular_range_deg, sino.n_bins)
     return get_projector(height, width, sino.n_angles, *geometry)
 
 
@@ -59,7 +61,7 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
     """
     if cfg is None:
         cfg = ReconConfig()
-    y = np.asarray(sino.data, dtype=np.float64)
+    y = np.asarray(sino.data, dtype=np.float64) / sino.bin_width  # to pixel-unit integrals
     if np.any(y < 0):
         raise ValueError("sinogram has negative entries")
     if sino.n_angles % cfg.n_subsets != 0:
@@ -110,7 +112,7 @@ def log_likelihood(sino: Sinogram, image: Image) -> float:
     """
     y = np.asarray(sino.data, dtype=np.float64)
     proj = _projector(sino, image.height, image.width)
-    fp = proj.forward(image.data)
+    fp = proj.forward(image.data) * sino.bin_width
     if np.any((fp <= 0) & (y > 0)):
         return float("-inf")
     pos = fp > 0

@@ -7,6 +7,11 @@ and rotation is about the pixel-grid centre; view i of n covers
 start + i * range / n degrees with the endpoint excluded, so coarse view
 sets are nested in finer ones whenever the counts divide.
 
+The operator works in pixel units: detector bins are one pixel wide and
+one pixel apart, and line integrals are measured in pixel lengths. The
+callers carry the physical scale: `project` multiplies by the pixel size,
+and OSEM divides the data by the sinogram's bin width.
+
 Each view is materialised once as a sparse matrix and cached, which makes
 repeated projection, backprojection and iterative reconstruction cheap and
 makes the adjoint exact by construction (the transpose view, never a copy).
@@ -22,8 +27,8 @@ is deposited across a small binomial-weighted window of detector bins
 centred on the pixel's detector coordinate. The window average restores
 locally exact mass while the binomial taper cancels the wobble instead of
 re-aliasing it. Every pixel the detector can see ends up with a column sum
-of exactly one bin width, so per-view mass conservation holds to float
-round-off and all matrix entries stay nonnegative.
+of exactly 1, so per-view mass conservation holds to float round-off and
+all matrix entries stay nonnegative.
 """
 
 from __future__ import annotations
@@ -42,14 +47,14 @@ SAMPLE_STEP = 0.25  # pixels along the ray; contract requires <= 0.5
 _BALANCE_ORDER = 6  # binomial window spans _BALANCE_ORDER + 1 detector bins
 
 
-def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int, bin_width: float) -> sp.csr_matrix:
+def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int) -> sp.csr_matrix:
     """Sparse [n_bins, height*width] line-integral operator for one view."""
     theta = np.deg2rad(theta_deg)
     es = (np.cos(theta), np.sin(theta))  # detector axis
     et = (-np.sin(theta), np.cos(theta))  # ray direction
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
 
-    offsets = (np.arange(n_bins) - (n_bins - 1) / 2.0) * bin_width
+    offsets = np.arange(n_bins) - (n_bins - 1) / 2.0
     half_diag = 0.5 * float(np.hypot(height, width))
     n_steps = int(np.ceil(2.0 * half_diag / SAMPLE_STEP))
     n_steps += n_steps % 2  # even count: the sample lattice is symmetric about 0
@@ -74,8 +79,6 @@ def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int, bin_wid
         for dy, wy in ((0, 1.0 - fy), (1, fy)):
             yi = y0 + dy
             ok = ok_x & (yi >= 0) & (yi < height)
-            if not ok.any():
-                continue
             rows.append(bin_idx[ok])
             cols.append((yi[ok] * width + xi[ok]))
             vals.append((wx[ok] * wy[ok]) * SAMPLE_STEP)
@@ -84,13 +87,13 @@ def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int, bin_wid
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_bins, height * width),
     ).tocsr()
-    return _balance_columns(mat, theta, height, width, n_bins, bin_width)
+    return _balance_columns(mat, theta, height, width, n_bins)
 
 
 def _balance_columns(
-    mat: sp.csr_matrix, theta: float, height: int, width: int, n_bins: int, bin_width: float
+    mat: sp.csr_matrix, theta: float, height: int, width: int, n_bins: int
 ) -> sp.csr_matrix:
-    """Pin every covered pixel's column sum to bin_width, gently.
+    """Pin every covered pixel's column sum to 1, gently.
 
     One uniform scale brings all sensitivities at or below target, then the
     per-pixel shortfall is spread over a binomial window of bins around the
@@ -108,10 +111,10 @@ def _balance_columns(
     ref = float(col_sums[covered].max()) if covered.any() else float(col_sums.max())
     if ref <= 0.0:
         return mat
-    mat = mat * (bin_width / ref)
+    mat = mat * (1.0 / ref)
 
-    deficit = bin_width * (1.0 - col_sums / ref)
-    centre = np.rint(s_pix / bin_width + (n_bins - 1) / 2.0).astype(np.int64)
+    deficit = 1.0 - col_sums / ref
+    centre = np.rint(s_pix + (n_bins - 1) / 2.0).astype(np.int64)
     half = _BALANCE_ORDER // 2
     taper = np.array(
         [comb(_BALANCE_ORDER, k) for k in range(_BALANCE_ORDER + 1)], dtype=np.float64
@@ -135,7 +138,7 @@ def _balance_columns(
 
 
 class ParallelProjector:
-    """Matched forward/adjoint projection pair for a fixed geometry."""
+    """Matched forward/adjoint projection pair for a fixed geometry, in pixel units."""
 
     def __init__(
         self,
@@ -145,7 +148,6 @@ class ParallelProjector:
         start_angle_deg: float = 0.0,
         angular_range_deg: float = 360.0,
         n_bins: int | None = None,
-        bin_width: float = 1.0,
     ):
         if height < 1 or width < 1:
             raise ValueError(f"bad image shape {(height, width)}")
@@ -153,14 +155,8 @@ class ParallelProjector:
         self.width = width
         self.n_bins = width if n_bins is None else n_bins
         self.n_angles = n_angles
-        self.start_angle_deg = float(start_angle_deg)
-        self.angular_range_deg = float(angular_range_deg)
-        self.bin_width = float(bin_width)
-        self.angles_deg = view_angles_deg(n_angles, start_angle_deg, angular_range_deg)
-        blocks = [
-            _view_matrix(theta, height, width, self.n_bins, self.bin_width)
-            for theta in self.angles_deg
-        ]
+        angles = view_angles_deg(n_angles, start_angle_deg, angular_range_deg)
+        blocks = [_view_matrix(theta, height, width, self.n_bins) for theta in angles]
         self.matrix = sp.vstack(blocks, format="csr")
 
     def forward(self, image: np.ndarray) -> np.ndarray:
@@ -197,11 +193,7 @@ class ParallelProjector:
         return a, a.T
 
 
-@lru_cache(maxsize=8)
-def _cached(height, width, n_angles, start_angle_deg, angular_range_deg, n_bins, bin_width):
-    return ParallelProjector(
-        height, width, n_angles, start_angle_deg, angular_range_deg, n_bins, bin_width
-    )
+_cached = lru_cache(maxsize=8)(ParallelProjector)
 
 
 def get_projector(
@@ -211,7 +203,6 @@ def get_projector(
     start_angle_deg: float = 0.0,
     angular_range_deg: float = 360.0,
     n_bins: int | None = None,
-    bin_width: float = 1.0,
 ) -> ParallelProjector:
     """Cached projector lookup; geometries are built once per process."""
     return _cached(
@@ -221,7 +212,6 @@ def get_projector(
         float(start_angle_deg),
         float(angular_range_deg),
         int(width if n_bins is None else n_bins),
-        float(bin_width),
     )
 
 
@@ -233,17 +223,13 @@ def project(
 ) -> Sinogram:
     """Forward-project an image into an n_angles-view sinogram.
 
-    Detector bins equal the image width and bin width equals the pixel
-    size, so a coarse view set is exactly the matching rows of a finer one.
+    Detector bins equal the image width and are one pixel wide, so the
+    sinogram's bin size is the pixel size and a coarse view set is exactly
+    the matching rows of a finer one.
     """
     proj = get_projector(
         image.height, image.width, n_angles, start_angle_deg, angular_range_deg
     )
     data = proj.forward(image.data) * image.pixel_size
     data = np.maximum(data, 0.0)  # interpolation cannot go negative; guard round-off
-    return Sinogram(
-        data.astype(np.float32),
-        start_angle_deg=start_angle_deg,
-        angular_range_deg=angular_range_deg,
-        bin_width=image.pixel_size,
-    )
+    return Sinogram(data.astype(np.float32), start_angle_deg, angular_range_deg, image.pixel_size)

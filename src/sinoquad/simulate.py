@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,14 +63,13 @@ _NOISE_PURPOSE = {
 
 
 def get_noise_level(level) -> NoiseLevel:
-    if isinstance(level, NoiseLevel):
-        return level
-    try:
-        return NOISE_LEVELS[level]
-    except KeyError:
+    """A level by label, or a NoiseLevel whose label has a noise stream."""
+    label = level.label if isinstance(level, NoiseLevel) else level
+    if label not in _NOISE_PURPOSE:
         raise ValueError(
-            f"unknown noise level {level!r}, expected one of {sorted(NOISE_LEVELS)}"
-        ) from None
+            f"unknown noise level {label!r}, expected one of {sorted(_NOISE_PURPOSE)}"
+        )
+    return level if isinstance(level, NoiseLevel) else NOISE_LEVELS[label]
 
 
 @dataclass(frozen=True)
@@ -305,26 +305,15 @@ def make_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    item = functools.partial(
+        _dataset_item, recipe, noise=noise, out_dir=str(out), in_views=in_views,
+        out_views=out_views,
+    )
     if jobs <= 1:
-        rows = [
-            _dataset_item(recipe, i, noise, str(out), in_views, out_views)
-            for i in range(count)
-        ]
+        rows = list(map(item, range(count)))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    _dataset_item,
-                    [recipe] * count,
-                    range(count),
-                    [noise] * count,
-                    [str(out)] * count,
-                    [in_views] * count,
-                    [out_views] * count,
-                    chunksize=max(1, count // (4 * jobs)),
-                )
-            )
-    rows.sort(key=lambda r: r["index"])
+            rows = list(pool.map(item, range(count), chunksize=max(1, count // (4 * jobs))))
     manifest = out / "manifest.jsonl"
     write_manifest(manifest, rows)
     return manifest

@@ -118,10 +118,10 @@ def conv_transpose2d_2x2(x: np.ndarray, w: np.ndarray, b, stride) -> np.ndarray:
     return out
 
 
-def balance_columns_loop(mat, theta, height, width, n_bins, bin_width, fov_radius, order=6):
+def balance_columns_loop(mat, theta, height, width, n_bins, fov_radius, order=6):
     """The projector's column balancing, one window tap at a time.
 
-    Scale the view so the largest covered column sum is bin_width, then
+    Scale the view so the largest covered column sum is 1, then
     spread each pixel's deficit over the binomial window of `order` + 1
     bins around its detector coordinate, renormalized over the taps that
     land on the detector.
@@ -134,9 +134,9 @@ def balance_columns_loop(mat, theta, height, width, n_bins, bin_width, fov_radiu
     ref = float(col_sums[covered].max()) if covered.any() else float(col_sums.max())
     if ref <= 0.0:
         return mat
-    mat = mat * (bin_width / ref)
-    deficit = bin_width * (1.0 - col_sums / ref)
-    centre = np.rint(s_pix / bin_width + (n_bins - 1) / 2.0).astype(np.int64)
+    mat = mat * (1.0 / ref)
+    deficit = 1.0 - col_sums / ref
+    centre = np.rint(s_pix + (n_bins - 1) / 2.0).astype(np.int64)
     taper = np.array([comb(order, k) for k in range(order + 1)], dtype=np.float64)
     taper /= taper.sum()
     offsets = range(-(order // 2), order // 2 + 1)

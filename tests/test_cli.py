@@ -87,6 +87,16 @@ class TestExitCodes:
         assert err.startswith("error: data:") and "start_angle_deg" in err
         assert "\n" not in err.strip()
 
+    def test_huge_bin_width_reconstructs(self, tmp_path):
+        path = tmp_path / "sino.sptb"
+        write_tomo(path, Sinogram(np.ones((16, 16), dtype=np.float32), bin_width=1e9))
+        out = tmp_path / "rec.sptb"
+        assert main(["recon", "--in", str(path), "--size", "16", "--iters", "1",
+                     "--out", str(out)]) == 0
+        rec = read_tomo(out)
+        assert rec.pixel_size == 1e9
+        assert np.isfinite(rec.data).all() and (rec.data >= 0).all()
+
     @pytest.mark.parametrize("flags,field", [
         (["--start", "nan"], "start_angle_deg"),
         (["--start", "inf"], "start_angle_deg"),

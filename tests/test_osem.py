@@ -133,6 +133,30 @@ class TestViewCountQuality:
         assert score_many > score_few
 
 
+class TestPhysicalUnits:
+    def test_pixel_size_does_not_change_the_reconstruction(self):
+        # the data scale with the pixel size; OSEM must undo exactly that
+        cfg = ReconConfig(n_subsets=4, n_iterations=10, image_size=64)
+        scores = {}
+        for pixel_size in (1.0, 0.5, 2.0):
+            phantom = Image(shepp_logan(64).data, pixel_size=pixel_size)
+            rec = osem(project(phantom, n_angles=64), cfg)
+            assert rec.pixel_size == pixel_size
+            scores[pixel_size] = ssim(phantom.data, rec.data)
+        assert scores[1.0] > 0.9
+        assert abs(scores[0.5] - scores[1.0]) <= 0.005
+        assert abs(scores[2.0] - scores[1.0]) <= 0.005
+
+    def test_log_likelihood_is_in_data_units(self):
+        # the true image's forward model is the data itself: sum(y ln y - y)
+        phantom = Image(shepp_logan(64).data, pixel_size=2.0)
+        sino = project(phantom, n_angles=16)
+        y = np.asarray(sino.data, dtype=np.float64)
+        pos = y > 0
+        expected = float((y[pos] * np.log(y[pos])).sum() - y.sum())
+        assert log_likelihood(sino, phantom) == pytest.approx(expected, rel=1e-6)
+
+
 class TestStopEpsilon:
     def test_early_stop_matches_truncated_run(self):
         sino = project(shepp_logan(64), n_angles=32)

@@ -99,22 +99,22 @@ class TestMassConservation:
             rows = proj.forward(ph).sum(axis=1)
             assert np.abs(rows - ph.sum()).max() <= 0.005 * ph.sum()
 
-    @pytest.mark.parametrize("theta,size,n_bins,bin_width", [
-        (0.0, 32, 32, 1.0), (30.9375, 32, 32, 1.0), (45.0, 24, 40, 0.5), (200.0, 16, 12, 1.5),
+    @pytest.mark.parametrize("theta,size,n_bins", [
+        (0.0, 32, 32), (30.9375, 32, 32), (45.0, 24, 40), (200.0, 16, 12),
     ])
-    def test_balance_matches_tap_loop(self, monkeypatch, theta, size, n_bins, bin_width):
+    def test_balance_matches_tap_loop(self, monkeypatch, theta, size, n_bins):
         calls = []
         real = projector_mod._balance_columns
         monkeypatch.setattr(projector_mod, "_balance_columns",
                             lambda *args: calls.append(args) or real(*args))
-        got = projector_mod._view_matrix(theta, size, size, n_bins, bin_width)
+        got = projector_mod._view_matrix(theta, size, size, n_bins)
         (args,) = calls
         ref = balance_columns_loop(*args, fov_radius=fov_radius(size))
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, attr), getattr(ref, attr))
 
     def test_every_covered_pixel_is_balanced(self):
-        # column sums inside the field of view are pinned to the bin width
+        # column sums inside the field of view are pinned to 1
         proj = get_projector(128, 128, 32)
         sens = proj.adjoint(np.ones((32, 128)))
         inside = fov_mask(128, 128, fov_radius(128))
@@ -175,6 +175,7 @@ class TestAdjointAndSubsets:
     def test_stores_only_the_forward_matrix(self):
         proj = ParallelProjector(32, 32, 4)
         assert [name for name, v in vars(proj).items() if sp.issparse(v)] == ["matrix"]
+        assert set(vars(proj)) == {"height", "width", "n_bins", "n_angles", "matrix"}
 
     def test_subset_rows_match_full_matrix(self):
         proj = get_projector(64, 64, 16)

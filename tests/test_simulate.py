@@ -14,6 +14,7 @@ from sinoquad.io_formats import read_manifest, read_tomo
 from sinoquad.projector import project
 from sinoquad.simulate import (
     NOISE_LEVELS,
+    NoiseLevel,
     PhantomRecipe,
     ZeroMassError,
     apply_poisson,
@@ -122,6 +123,13 @@ class TestNoiseLevels:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown noise level"):
             get_noise_level("extreme")
+
+    def test_custom_level_needs_a_known_label(self):
+        sino = project(shepp_logan(16), 4)
+        with pytest.raises(ValueError, match=r"'ultra'.*\['high', 'low', 'medium'\]"):
+            apply_poisson(sino, NoiseLevel("ultra", 1e7), 0)
+        louder = apply_poisson(sino, NoiseLevel("low", 1e7), 0)
+        assert louder.data.shape == sino.data.shape
 
 
 class TestApplyPoisson:
