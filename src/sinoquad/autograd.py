@@ -15,7 +15,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "ShapeMismatchError",
     "MissingGradientError",
     "no_grad",
-    "set_debug_checks",
     "conv2d",
     "conv_transpose2d",
     "conv_transpose2d_adjoint",
@@ -51,13 +49,6 @@ class MissingGradientError(RuntimeError):
 
 
 _grad_enabled = True
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle post-op finiteness assertions (off by default)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 class no_grad:
@@ -105,9 +96,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph."""
@@ -160,8 +148,6 @@ class Tensor:
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError("non-finite value produced by an operator")
     requires = _grad_enabled and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=requires)
     if requires:
@@ -473,24 +459,21 @@ class Parameter:
     def grad(self):
         return self.tensor.grad
 
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.tensor.data.shape})"
 
 
-def adam_step(
-    params: Iterable[Parameter],
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+_ADAM_B1 = 0.9
+_ADAM_B2 = 0.999
+_ADAM_EPS = 1e-8
+
+
+def adam_step(params: Iterable[Parameter], lr: float = 1e-3) -> None:
     """One bias-corrected Adam update over params; gradients are cleared.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with
-    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t).
+    m_hat = m / (1 - b1^t) and v_hat = v / (1 - b2^t), using Adam's
+    standard b1 = 0.9, b2 = 0.999 and eps = 1e-8.
     """
     for p in params:
         g = p.tensor.grad
@@ -498,12 +481,12 @@ def adam_step(
             raise MissingGradientError(f"parameter {p.name!r} has no gradient")
         p.step += 1
         dt = p.tensor.data.dtype.type
-        b1, b2 = dt(beta1), dt(beta2)
+        b1, b2 = dt(_ADAM_B1), dt(_ADAM_B2)
         p.m = b1 * p.m + (dt(1) - b1) * g
         p.v = b2 * p.v + (dt(1) - b2) * (g * g)
-        m_hat = p.m / (dt(1) - dt(beta1) ** p.step)
-        v_hat = p.v / (dt(1) - dt(beta2) ** p.step)
-        p.tensor.data = p.tensor.data - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(eps))
+        m_hat = p.m / (dt(1) - b1 ** p.step)
+        v_hat = p.v / (dt(1) - b2 ** p.step)
+        p.tensor.data = p.tensor.data - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(_ADAM_EPS))
         p.tensor.grad = None
 
 

@@ -37,7 +37,7 @@ from .trainer import (
     replication_predictor,
     train,
 )
-from .unet import load_checkpoint
+from .unet import UNetConfig, load_checkpoint
 
 _DATA_DIR_ENV = "SINOQUAD_DATA_DIR"
 
@@ -184,41 +184,53 @@ def cmd_import(args) -> int:
     return 0
 
 
-def _self_train(out_dir: Path, seed: int, args) -> str:
+def _train_config(out_dir: Path, args) -> TrainConfig:
+    """The training run reproduce makes when it is not handed a model."""
+    if args.pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {args.pairs}")
+    return TrainConfig(
+        manifest=str(out_dir / "train_data" / "manifest.jsonl"),
+        epochs=args.epochs,
+        batch_size=8,
+        base_channels=args.base_channels,
+        seed=args.seed,
+        checkpoint_path=str(out_dir / "model.sptc"),
+    )
+
+
+def _self_train(cfg: TrainConfig, args) -> str:
     """Train a compact model when reproduce is not handed one.
 
     The corpus mixes all three count levels; a level-specialized model
     scores better on sinograms but leaves structured residuals that cost
     reconstruction SSIM, so one mixed model serves every level.
     """
-    data_dir = out_dir / "train_data"
-    manifest = make_dataset(
-        PhantomRecipe(seed=seed + 1, size=args.size),
+    make_dataset(
+        PhantomRecipe(seed=cfg.seed + 1, size=args.size),
         count=args.pairs,
         noise="mixed",
-        out_dir=data_dir,
+        out_dir=Path(cfg.manifest).parent,
         in_views=32,
         out_views=128,
     )
-    ckpt = out_dir / "model.sptc"
-    cfg = TrainConfig(
-        manifest=str(manifest),
-        epochs=args.epochs,
-        batch_size=8,
-        base_channels=args.base_channels,
-        seed=seed,
-        checkpoint_path=str(ckpt),
-    )
-    print(f"no --model given; training {args.base_channels}-channel model "
-          f"on {args.pairs} pairs ({args.epochs} epochs)")
+    print(f"no --model given; training {cfg.base_channels}-channel model "
+          f"on {args.pairs} pairs ({cfg.epochs} epochs)")
     train(cfg, verbose=True)
-    return str(ckpt)
+    return cfg.checkpoint_path
 
 
 def cmd_reproduce(args) -> int:
+    # every flag is checked before data is generated or a model trained
+    recon_cfg = ReconConfig(
+        n_subsets=args.subsets, n_iterations=args.iters, image_size=args.size
+    )
+    if 32 % recon_cfg.n_subsets:  # the sparse arm's views; it then divides 128 too
+        raise ValueError(f"n_subsets={recon_cfg.n_subsets} does not divide n_angles=32")
+    UNetConfig(base_channels=args.base_channels, detector_bins=args.size)  # the network's shape rules
     out_dir = Path(args.out) if args.out else _default_path("reproduce")
+    train_cfg = None if args.model else _train_config(out_dir, args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = args.model or _self_train(out_dir, args.seed, args)
+    model_path = args.model or _self_train(train_cfg, args)
     model = load_checkpoint(model_path)
 
     from .projector import project
@@ -228,9 +240,6 @@ def cmd_reproduce(args) -> int:
     sparse = subsample_views(reference, 4)
     noisy = apply_poisson(sparse, args.noise, args.seed)
 
-    recon_cfg = ReconConfig(
-        n_subsets=args.subsets, n_iterations=args.iters, image_size=args.size
-    )
     predicted, proposed, (rec_proposed, rec_standard) = compare(
         model_predictor(model), noisy, reference, phantom, recon_cfg
     )

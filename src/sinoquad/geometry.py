@@ -104,14 +104,14 @@ def fov_radius(width: int) -> float:
     return FOV_FRACTION * width
 
 
-def fov_mask(height: int, width: int, radius: float | None = None) -> np.ndarray:
+def fov_mask(height: int, width: int) -> np.ndarray:
     """Boolean mask of pixels inside the field-of-view circle.
 
-    The circle is centred on the pixel grid centre ((h-1)/2, (w-1)/2),
-    which is also the projector's rotation centre.
+    The circle has radius fov_radius(width) and is centred on the pixel
+    grid centre ((h-1)/2, (w-1)/2), which is also the projector's rotation
+    centre.
     """
-    if radius is None:
-        radius = fov_radius(width)
+    radius = fov_radius(width)
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     yy, xx = np.ogrid[:height, :width]
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius * radius

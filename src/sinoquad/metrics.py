@@ -39,16 +39,16 @@ def mse(ref, est) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(ref, est, peak: float = _PEAK) -> float:
+def psnr(ref, est) -> float:
     m = mse(ref, est)
     if m == 0.0:
         return math.inf
-    return float(10.0 * math.log10(peak * peak / m))
+    return float(10.0 * math.log10(_PEAK * _PEAK / m))
 
 
-def _mape_with_count(ref, est, mask_rel: float = _MAPE_TAU_FRACTION) -> tuple[float, int]:
+def _mape_with_count(ref, est) -> tuple[float, int]:
     a, b = _as_pair(ref, est)
-    tau = mask_rel * float(a.max()) if a.size else 0.0
+    tau = _MAPE_TAU_FRACTION * float(a.max()) if a.size else 0.0
     keep = a > tau
     n_masked = int(a.size - keep.sum())
     if not keep.any():
@@ -57,13 +57,12 @@ def _mape_with_count(ref, est, mask_rel: float = _MAPE_TAU_FRACTION) -> tuple[fl
     return pct, n_masked
 
 
-def mape(ref, est, mask_rel: float = _MAPE_TAU_FRACTION) -> float:
+def mape(ref, est) -> float:
     """Mean absolute percentage error over meaningfully populated bins.
 
-    Bins with reference value <= mask_rel * max(ref) are excluded; the
-    default keeps only bins above 1% of the reference peak.
+    Only bins above 1% of the reference peak are scored.
     """
-    return _mape_with_count(ref, est, mask_rel)[0]
+    return _mape_with_count(ref, est)[0]
 
 
 def _gaussian_taps(n: int, sigma: float) -> np.ndarray:
@@ -114,14 +113,13 @@ class MetricsReport:
     metadata: dict = field(default_factory=dict)
 
     @classmethod
-    def from_pair(cls, ref, est, normalize: bool = True, metadata: dict | None = None):
+    def from_pair(cls, ref, est):
+        """Score est against ref after max-normalizing each."""
         a, b = _as_pair(ref, est)
-        if normalize:
-            a, b = _normalized(a), _normalized(b)
+        a, b = _normalized(a), _normalized(b)
         pct, n_masked = _mape_with_count(a, b)
-        meta = dict(metadata or {})
-        meta["masked_bins"] = n_masked
-        return cls(mape=pct, mse=mse(a, b), ssim=ssim(a, b), psnr=psnr(a, b), metadata=meta)
+        return cls(mape=pct, mse=mse(a, b), ssim=ssim(a, b), psnr=psnr(a, b),
+                   metadata={"masked_bins": n_masked})
 
     def to_dict(self) -> dict:
         return {

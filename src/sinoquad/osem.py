@@ -32,7 +32,6 @@ class ReconConfig:
 
     n_subsets: int = 4
     n_iterations: int = 20
-    stop_epsilon: float | None = None
     image_size: int = 128
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class ReconConfig:
             raise ValueError(f"n_subsets must be >= 1, got {self.n_subsets}")
         if self.n_iterations < 1:
             raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
-        if self.stop_epsilon is not None and not self.stop_epsilon > 0:
-            raise ValueError("stop_epsilon must be positive when set")
         if self.image_size < 16:
             raise ValueError(f"image_size must be >= 16, got {self.image_size}")
 
@@ -81,8 +78,6 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
 
     x = fov_mask(size, size).astype(np.float64).ravel()
     for it in range(cfg.n_iterations):
-        if cfg.stop_epsilon is not None:
-            prev = x.copy()
         for a, a_adj, sens, y_k in subsets:
             fp = a @ x
             ratio = np.where(fp > _RATIO_EPS, y_k / np.where(fp > _RATIO_EPS, fp, 1.0), 0.0)
@@ -90,10 +85,6 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
             x = np.where(sens > 0, x * back / np.where(sens > 0, sens, 1.0), 0.0)
         if callback is not None:
             callback(it, x.reshape(size, size).copy())
-        if cfg.stop_epsilon is not None:
-            denom = np.abs(prev).sum()
-            if denom > 0 and np.abs(x - prev).sum() / denom < cfg.stop_epsilon:
-                break
 
     out = np.maximum(x, 0.0).reshape(size, size).astype(np.float32)
     return Image(out, pixel_size=sino.bin_width)

@@ -1,10 +1,10 @@
 """Phantom generation, count-limited Poisson noise, and dataset assembly.
 
 Randomised phantoms are additive mixtures of rotated ellipses plus a few
-Gaussian blobs, supported strictly inside a circular field of view and
-max-normalised to 1.0. Every item is generated from its own Philox stream
-keyed by (dataset seed, item index), so regeneration is bit-identical and
-independent of worker count or ordering.
+Gaussian blobs, sized in proportion to the image, supported strictly inside
+a circular field of view and max-normalised to 1.0. Every item is generated
+from its own Philox stream keyed by (dataset seed, item index), so
+regeneration is bit-identical and independent of worker count or ordering.
 """
 
 from __future__ import annotations
@@ -72,30 +72,29 @@ def get_noise_level(level) -> NoiseLevel:
     return level if isinstance(level, NoiseLevel) else NOISE_LEVELS[label]
 
 
+# The phantom distribution. Lengths are in pixels of a 128-pixel image and
+# scale with the image size; ranges are (low, high).
+_REFERENCE_SIZE = 128
+_N_ELLIPSES = (2, 10)
+_CENTER_FRACTION = 0.8  # of the FOV radius
+_AXES_PX = (4.0, 40.0)
+_ROTATION_DEG = (0.0, 180.0)
+_INTENSITY = (0.2, 1.0)
+_N_BLOBS = (0, 3)
+_BLOB_SIGMA_PX = (2.0, 8.0)
+_BLOB_INTENSITY = (0.2, 1.0)
+
+
 @dataclass(frozen=True)
 class PhantomRecipe:
-    """Distribution parameters for randomised ellipse phantoms."""
+    """A randomised phantom stream: the dataset seed and the image size."""
 
     seed: int = 0
     size: int = 128
-    n_ellipses: tuple[int, int] = (2, 10)
-    center_fraction: float = 0.8  # of the FOV radius
-    axes_px: tuple[float, float] = (4.0, 40.0)
-    rotation_deg: tuple[float, float] = (0.0, 180.0)
-    intensity: tuple[float, float] = (0.2, 1.0)
-    n_blobs: tuple[int, int] = (0, 3)
-    blob_sigma_px: tuple[float, float] = (2.0, 8.0)
-    blob_intensity: tuple[float, float] = (0.2, 1.0)
 
     def __post_init__(self):
         if self.size < 16:
             raise ValueError(f"size must be >= 16, got {self.size}")
-        if not (1 <= self.n_ellipses[0] <= self.n_ellipses[1]):
-            raise ValueError(f"bad ellipse count range {self.n_ellipses}")
-        if self.axes_px[0] <= 0 or self.axes_px[0] > self.axes_px[1]:
-            raise ValueError(f"bad axes range {self.axes_px}")
-        if not (0 < self.center_fraction <= 1):
-            raise ValueError(f"bad center_fraction {self.center_fraction}")
 
 
 _SUPERSAMPLE = 2
@@ -127,21 +126,24 @@ def generate_phantom(recipe: PhantomRecipe, index: int = 0) -> Image:
     """Draw one randomised phantom; bit-identical for a given (seed, index)."""
     gen = rng_mod.stream(recipe.seed, index, rng_mod.PURPOSE_PHANTOM)
     size = recipe.size
+    scale = size / _REFERENCE_SIZE
+    axes_px = (_AXES_PX[0] * scale, _AXES_PX[1] * scale)
+    sigma_px = (_BLOB_SIGMA_PX[0] * scale, _BLOB_SIGMA_PX[1] * scale)
     r_fov = fov_radius(size)
-    r_center = recipe.center_fraction * r_fov
+    r_center = _CENTER_FRACTION * r_fov
 
     for _attempt in range(32):
-        n_ell = int(gen.integers(recipe.n_ellipses[0], recipe.n_ellipses[1] + 1))
+        n_ell = int(gen.integers(_N_ELLIPSES[0], _N_ELLIPSES[1] + 1))
         ellipses = []
         for _ in range(n_ell):
             for _try in range(500):
                 rr = r_center * np.sqrt(gen.random())
                 phi = 2.0 * np.pi * gen.random()
                 cx, cy = rr * np.cos(phi), rr * np.sin(phi)
-                ax = gen.uniform(*recipe.axes_px)
-                ay = gen.uniform(*recipe.axes_px)
-                rot = gen.uniform(*recipe.rotation_deg)
-                val = gen.uniform(*recipe.intensity)
+                ax = gen.uniform(*axes_px)
+                ay = gen.uniform(*axes_px)
+                rot = gen.uniform(*_ROTATION_DEG)
+                val = gen.uniform(*_INTENSITY)
                 # keep the whole ellipse strictly inside the field of view
                 if rr + max(ax, ay) <= r_fov - 1.0:
                     ellipses.append((cx, cy, ax, ay, rot, val))
@@ -151,7 +153,7 @@ def generate_phantom(recipe: PhantomRecipe, index: int = 0) -> Image:
 
         data = _render_ellipses(size, ellipses)
 
-        n_blob = int(gen.integers(recipe.n_blobs[0], recipe.n_blobs[1] + 1))
+        n_blob = int(gen.integers(_N_BLOBS[0], _N_BLOBS[1] + 1))
         if n_blob:
             c = (size - 1) / 2.0
             yy, xx = np.mgrid[0:size, 0:size]
@@ -159,12 +161,12 @@ def generate_phantom(recipe: PhantomRecipe, index: int = 0) -> Image:
                 rr = r_center * np.sqrt(gen.random())
                 phi = 2.0 * np.pi * gen.random()
                 bx, by = c + rr * np.cos(phi), c + rr * np.sin(phi)
-                sigma = gen.uniform(*recipe.blob_sigma_px)
-                amp = gen.uniform(*recipe.blob_intensity)
+                sigma = gen.uniform(*sigma_px)
+                amp = gen.uniform(*_BLOB_INTENSITY)
                 d2 = (xx - bx) ** 2 + (yy - by) ** 2
                 data = data + amp * np.exp(-0.5 * d2 / (sigma * sigma))
 
-        data[~fov_mask(size, size, r_fov)] = 0.0
+        data[~fov_mask(size, size)] = 0.0
         peak = data.max()
         if peak > 0:
             data = data / peak  # the peak pixel becomes exactly 1.0
@@ -298,6 +300,8 @@ def make_dataset(
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if in_views < 1 or out_views < 1:
+        raise ValueError(f"in_views and out_views must be >= 1, got {in_views} and {out_views}")
     if noise != "mixed":
         get_noise_level(noise)  # validates the label
     if out_views % in_views:

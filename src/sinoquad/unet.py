@@ -67,20 +67,6 @@ class UNetConfig:
             raise ValueError("bottleneck_channels must be >= 1")
 
 
-def parameter_count(config: UNetConfig) -> int:
-    """Closed-form sum C_out*(C_in*kh*kw + 1) over the layer table."""
-    total = 0
-    for _, shape in _layer_table(config):
-        if len(shape) == 4:
-            c0, c1, kh, kw = shape
-            # conv weights are [C_out,C_in,kh,kw]; transposed weights
-            # [C_in,C_out,kh,kw]; both contribute the full product
-            total += c0 * c1 * kh * kw
-        else:
-            total += shape[0]
-    return total
-
-
 def _layer_table(config: UNetConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) for every parameter, in creation order."""
     base = config.base_channels

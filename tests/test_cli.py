@@ -87,6 +87,46 @@ class TestExitCodes:
         assert err.startswith("error: data:") and "start_angle_deg" in err
         assert "\n" not in err.strip()
 
+    # (command, integer flag); each is set to 0 and to -1 on an otherwise valid call
+    INTEGER_FLAGS = [
+        ("phantom", "--size"), ("phantom", "--seed"), ("phantom", "--index"),
+        ("project", "--angles"),
+        ("dataset", "--count"), ("dataset", "--seed"), ("dataset", "--size"),
+        ("dataset", "--in-views"), ("dataset", "--out-views"), ("dataset", "--jobs"),
+        ("recon", "--subsets"), ("recon", "--iters"), ("recon", "--size"),
+        ("import", "--angles"), ("import", "--bins"),
+        ("reproduce", "--seed"), ("reproduce", "--size"), ("reproduce", "--subsets"),
+        ("reproduce", "--iters"), ("reproduce", "--pairs"), ("reproduce", "--epochs"),
+        ("reproduce", "--base-channels"),
+    ]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command,flag", INTEGER_FLAGS)
+    def test_integer_flag_sweep(self, workspace, tmp_path, capsys, command, flag, value):
+        img, sino, raw = tmp_path / "img.sptb", tmp_path / "sino.sptb", tmp_path / "raw.f32"
+        write_tomo(img, Image(np.ones((16, 16), dtype=np.float32)))
+        write_tomo(sino, Sinogram(np.ones((16, 16), dtype=np.float32)))
+        raw.write_bytes(np.ones(16, dtype="<f4").tobytes())
+        # reproduce trains its own model without --model; its training flags need that path
+        trains = flag in ("--pairs", "--epochs", "--base-channels")
+        base = {
+            "phantom": ["random", "--size", "16"],
+            "project": ["--in", str(img), "--angles", "4"],
+            "dataset": ["--count", "1", "--size", "16", "--in-views", "4", "--out-views", "16"],
+            "recon": ["--in", str(sino), "--subsets", "4", "--iters", "1", "--size", "16"],
+            "import": ["--in", str(raw), "--angles", "4", "--bins", "4"],
+            "reproduce": ["--noise", "low", "--size", "16", "--iters", "1"]
+            + (["--pairs", "2", "--epochs", "1", "--base-channels", "1"] if trains
+               else ["--model", str(workspace / "model.sptc")]),
+        }[command]
+        if flag in base:
+            i = base.index(flag)
+            base = base[:i] + base[i + 2:]
+        code = main([command] + base + [flag, value, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), err
+        assert err.count("error:") <= 1
+
     def test_huge_bin_width_reconstructs(self, tmp_path):
         path = tmp_path / "sino.sptb"
         write_tomo(path, Sinogram(np.ones((16, 16), dtype=np.float32), bin_width=1e9))
@@ -321,6 +361,18 @@ class TestReproduce:
                      "recon_proposed", "reference_128"):
             assert (out / f"{name}.sptb").exists()
             assert (out / f"{name}.pgm").exists()
+
+    @pytest.mark.parametrize("flags,hint", [
+        (["--subsets", "3", "--size", "48"], "n_subsets=3"),
+        (["--size", "40"], "divisible by 16"),
+    ])
+    def test_bad_flags_fail_before_any_work(self, tmp_path, capsys, flags, hint):
+        out = tmp_path / "rep"
+        code = main(["reproduce", "--noise", "low", "--pairs", "2", "--epochs", "1",
+                     "--out", str(out)] + flags)
+        assert code == 2
+        assert hint in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bit_reproducible(self, workspace, tmp_path):
         outs = []

@@ -93,10 +93,6 @@ class TestFieldOfView:
         np.testing.assert_array_equal(mask, mask[::-1, :])
         np.testing.assert_array_equal(mask, mask[:, ::-1])
 
-    def test_explicit_radius(self):
-        mask = fov_mask(9, 9, radius=1.0)
-        assert mask.sum() == 5  # centre plus 4-neighbourhood
-
     def test_area_close_to_disc(self):
         mask = fov_mask(256, 256)
         area = np.pi * fov_radius(256) ** 2

@@ -27,7 +27,7 @@ class TestMseAndPsnr:
         ref = np.zeros((2, 2))
         est = np.full((2, 2), 0.5)
         assert mse(ref, est) == pytest.approx(0.25)
-        assert psnr(ref, est, peak=1.0) == pytest.approx(10 * math.log10(1 / 0.25))
+        assert psnr(ref, est) == pytest.approx(10 * math.log10(1 / 0.25))
 
     def test_psnr_20db_at_mse_0p01(self):
         ref = np.zeros((4, 4))
@@ -81,16 +81,10 @@ class TestMape:
         est = np.array([[100.0, 10.0, 50.0]])
         assert mape(ref, est) == pytest.approx(50.0)
 
-    def test_mask_threshold_override(self):
-        ref = np.array([[100.0, 0.5]])
-        est = np.array([[100.0, 1.0]])
-        assert mape(ref, est, mask_rel=1e-6) == pytest.approx(50.0)
-        assert mape(ref, est) == pytest.approx(0.0)
-
     def test_masked_count_in_report(self):
         ref = checker(16) + 1.0
         ref[0, 0] = ref[3, 5] = 0.0
-        report = MetricsReport.from_pair(ref, ref, normalize=False)
+        report = MetricsReport.from_pair(ref, ref)
         assert report.metadata["masked_bins"] == 2
 
 
@@ -142,19 +136,12 @@ class TestMetricsReport:
         assert report.ssim == pytest.approx(1.0, abs=1e-12)
         assert math.isinf(report.psnr)
 
-    def test_unnormalized_sees_scale(self):
-        ref = checker() + 1.0
-        report = MetricsReport.from_pair(ref, ref * 2.0, normalize=False)
-        assert report.mse > 0
-
     def test_to_dict_round_trip_fields(self):
         ref = checker() + 1.0
         est = ref + 0.05
-        report = MetricsReport.from_pair(ref, est, metadata={"noise": "low"})
-        d = report.to_dict()
+        d = MetricsReport.from_pair(ref, est).to_dict()
         assert set(d) == {"mape", "mse", "ssim", "psnr", "metadata"}
-        assert d["metadata"]["noise"] == "low"
-        assert d["metadata"]["masked_bins"] == 0
+        assert d["metadata"] == {"masked_bins": 0}
 
     def test_row_formatting(self):
         report = MetricsReport(mape=2.639, mse=0.00058, ssim=0.9771, psnr=32.514)

@@ -32,13 +32,10 @@ class TestConfig:
     def test_defaults(self):
         cfg = ReconConfig()
         assert (cfg.n_subsets, cfg.n_iterations, cfg.image_size) == (4, 20, 128)
-        assert cfg.stop_epsilon is None
 
     @pytest.mark.parametrize("kwargs,hint", [
         ({"n_subsets": 0}, "n_subsets"),
         ({"n_iterations": 0}, "n_iterations"),
-        ({"stop_epsilon": 0.0}, "stop_epsilon"),
-        ({"stop_epsilon": -1e-3}, "stop_epsilon"),
         ({"image_size": 8}, "image_size"),
     ])
     def test_rejects_bad_fields(self, kwargs, hint):
@@ -156,14 +153,3 @@ class TestPhysicalUnits:
         expected = float((y[pos] * np.log(y[pos])).sum() - y.sum())
         assert log_likelihood(sino, phantom) == pytest.approx(expected, rel=1e-6)
 
-
-class TestStopEpsilon:
-    def test_early_stop_matches_truncated_run(self):
-        sino = project(shepp_logan(64), n_angles=32)
-        loose = ReconConfig(n_subsets=4, n_iterations=200, stop_epsilon=5e-3, image_size=64)
-        img = osem(sino, loose)
-        counts = []
-        osem(sino, loose, callback=lambda it, _: counts.append(it))
-        assert counts[-1] + 1 < 200  # actually stopped early
-        exact = ReconConfig(n_subsets=4, n_iterations=counts[-1] + 1, image_size=64)
-        np.testing.assert_array_equal(img.data, osem(sino, exact).data)

@@ -117,7 +117,7 @@ class TestMassConservation:
         # column sums inside the field of view are pinned to 1
         proj = get_projector(128, 128, 32)
         sens = proj.adjoint(np.ones((32, 128)))
-        inside = fov_mask(128, 128, fov_radius(128))
+        inside = fov_mask(128, 128)
         np.testing.assert_allclose(sens[inside], 32.0, rtol=1e-12)
 
 
@@ -136,7 +136,7 @@ class TestGeometry:
         img = np.zeros((n, n))
         for cy, cx, sig, amp in ((50, 40, 6, 1.0), (80, 75, 10, 0.7), (75, 45, 8, 0.9)):
             img += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sig**2))
-        img *= fov_mask(n, n, fov_radius(n))
+        img *= fov_mask(n, n)
         proj = get_projector(n, n, 128)
         base = proj.forward(img)
         turned = np.clip(rotate(img, 11.25, reshape=False, order=3), 0.0, None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sinoquad import rng as rng_mod
-from sinoquad.geometry import Sinogram, fov_mask, fov_radius
+from sinoquad.geometry import Sinogram, fov_mask
 from sinoquad.io_formats import read_manifest, read_tomo
 from sinoquad.projector import project
 from sinoquad.simulate import (
@@ -40,18 +40,10 @@ class TestRecipe:
         recipe = PhantomRecipe()
         assert recipe.size == 128
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"size": 8},
-            {"n_ellipses": (0, 5)},
-            {"n_ellipses": (6, 2)},
-            {"axes_px": (0.0, 40.0)},
-            {"axes_px": (10.0, 4.0)},
-            {"center_fraction": 0.0},
-            {"center_fraction": 1.5},
-        ],
-    )
+    def test_fields_are_seed_and_size(self):
+        assert [f.name for f in dataclasses.fields(PhantomRecipe)] == ["seed", "size"]
+
+    @pytest.mark.parametrize("kwargs", [{"size": 8}])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             PhantomRecipe(**kwargs)
@@ -74,8 +66,17 @@ class TestGeneratePhantom:
         assert img.data.dtype == np.float32
         assert img.data.min() >= 0.0
         assert img.data.max() == np.float32(1.0)
-        outside = ~fov_mask(128, 128, fov_radius(128))
+        outside = ~fov_mask(128, 128)
         assert not img.data[outside].any()
+
+    @pytest.mark.parametrize("size", range(16, 65, 4))
+    def test_every_valid_small_size_fits(self, size):
+        # ellipse axes and blob widths scale with the image size
+        for index in range(10):
+            img = generate_phantom(PhantomRecipe(seed=0, size=size), index)
+            assert img.data.shape == (size, size)
+            assert img.data.max() == np.float32(1.0)
+            assert not img.data[~fov_mask(size, size)].any()
 
 
 class TestSheppLogan:
@@ -264,6 +265,13 @@ class TestMakeDataset:
     def test_bad_noise_label(self, tmp_path):
         with pytest.raises(ValueError, match="noise"):
             make_dataset(PhantomRecipe(), 1, "loud", tmp_path)
+
+    @pytest.mark.parametrize("views", [(0, 128), (32, 0), (-1, 128), (32, -4)])
+    def test_bad_view_count(self, tmp_path, views):
+        with pytest.raises(ValueError, match="views"):
+            make_dataset(PhantomRecipe(), 1, "low", tmp_path / "ds",
+                         in_views=views[0], out_views=views[1])
+        assert not (tmp_path / "ds").exists()
 
     def test_non_dividing_views_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="divide"):
