@@ -5,7 +5,11 @@ Multiplicative updates with a matched forward/adjoint projector pair:
     x_j <- x_j / (sum_{i in S} a_ij) * sum_{i in S} a_ij * y_i / (Ax)_i
 
 Subsets interleave view angles (subset k takes views k, k+n_subsets, ...)
-in a fixed order, so reconstructions are reproducible. The start image is
+in a fixed order, so reconstructions are reproducible. A projector that
+stores one half-turn serves both views of an opposite pair from one row
+block: their data are folded onto it (summed, the second bin-reversed),
+which gives the same update as the stacked operator, and the block's
+sensitivity counts once per view that reads it. The start image is
 uniform 1.0 inside the field of view and 0 outside; pixels with zero
 subset sensitivity are pinned to 0. Where a forward-projected bin is 0
 the data ratio is set to 0 (with noiseless-consistent data this only
@@ -72,9 +76,10 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
     subsets = []
     for k in range(cfg.n_subsets):
         views = np.arange(k, sino.n_angles, cfg.n_subsets)
-        a, a_adj = proj.subset_operators(views)
-        sens = np.asarray(a.sum(axis=0)).ravel()
-        subsets.append((a, a_adj, sens, y[views].ravel()))
+        stored, y_k, reads = proj.fold(views, y[views])
+        a, a_adj = proj.subset_operators(stored)
+        sens = a_adj @ np.repeat(reads, sino.n_bins).astype(np.float64)
+        subsets.append((a, a_adj, sens, y_k.ravel()))
 
     x = fov_mask(size, size).astype(np.float64).ravel()
     for it in range(cfg.n_iterations):

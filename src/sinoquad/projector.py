@@ -16,6 +16,13 @@ Each view is materialised once as a sparse matrix and cached, which makes
 repeated projection, backprojection and iterative reconstruction cheap and
 makes the adjoint exact by construction (the transpose view, never a copy).
 
+In parallel beam the view at theta + 180 degrees is the view at theta with
+its bins reversed. So a projector over a full 360-degree turn with an even
+view count stores only the first half-turn's views: `forward` appends their
+bin-reversed copies, `adjoint` folds the second half-turn onto the first,
+and `fold` does the same for any set of views. Every other geometry stores
+all of its views.
+
 Raw bilinear ray sampling gives a per-pixel detector sensitivity (column
 sum) that wobbles by a few percent at diagonal angles, which would leak
 into per-view mass totals. Rescaling whole columns would fix the totals
@@ -156,8 +163,15 @@ class ParallelProjector:
         self.n_bins = width if n_bins is None else n_bins
         self.n_angles = n_angles
         angles = view_angles_deg(n_angles, start_angle_deg, angular_range_deg)
+        if angular_range_deg == 360.0 and n_angles % 2 == 0:
+            angles = angles[: n_angles // 2]  # the rest are these, bin-reversed
         blocks = [_view_matrix(theta, height, width, self.n_bins) for theta in angles]
         self.matrix = sp.vstack(blocks, format="csr")
+
+    @property
+    def _stored_views(self) -> int:
+        """Views the matrix holds: the first half-turn's when folded, else all."""
+        return self.matrix.shape[0] // self.n_bins
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         img = np.asarray(image, dtype=np.float64)
@@ -165,8 +179,11 @@ class ParallelProjector:
             raise ValueError(
                 f"image shape {img.shape} does not match projector {(self.height, self.width)}"
             )
-        out = self.matrix @ img.ravel()
-        return out.reshape(self.n_angles, self.n_bins)
+        half = self._stored_views
+        out = (self.matrix @ img.ravel()).reshape(half, self.n_bins)
+        if half != self.n_angles:
+            out = np.concatenate([out, out[:, ::-1]])
+        return out
 
     def adjoint(self, sinogram: np.ndarray) -> np.ndarray:
         sino = np.asarray(sinogram, dtype=np.float64)
@@ -175,21 +192,40 @@ class ParallelProjector:
                 f"sinogram shape {sino.shape} does not match projector "
                 f"{(self.n_angles, self.n_bins)}"
             )
+        half = self._stored_views
+        if half != self.n_angles:
+            sino = sino[:half] + sino[half:, ::-1]
         out = self.matrix.T @ sino.ravel()
         return out.reshape(self.height, self.width)
 
-    def view_rows(self, angle_indices) -> np.ndarray:
-        """Row indices of self.matrix covering the given view indices."""
+    def fold(self, angle_indices, rows: np.ndarray):
+        """Fold the rows of some views onto the stored views they read.
+
+        A view past the stored half-turn reads stored view `v - n_angles // 2`
+        with its bins reversed. Returns the stored views (sorted), their data
+        [len(stored), n_bins] with the reversed rows added in, and how many of
+        the given views read each stored view.
+        """
         idx = np.asarray(angle_indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_angles):
             raise ValueError(f"view indices out of range [0, {self.n_angles})")
-        return (idx[:, None] * self.n_bins + np.arange(self.n_bins)[None, :]).ravel()
+        rows = np.asarray(rows, dtype=np.float64).reshape(idx.size, self.n_bins)
+        second = idx >= self._stored_views
+        stored, inverse, counts = np.unique(
+            idx % self._stored_views, return_inverse=True, return_counts=True
+        )
+        out = np.zeros((stored.size, self.n_bins))
+        np.add.at(out, inverse, np.where(second[:, None], rows[:, ::-1], rows))
+        return stored, out, counts
 
-    def subset_operators(self, angle_indices):
-        """(forward, adjoint) sparse matrices restricted to some views.
+    def subset_operators(self, stored_views):
+        """(forward, adjoint) sparse matrices restricted to some stored views.
 
         The adjoint is a transpose view sharing the forward matrix's arrays."""
-        a = self.matrix[self.view_rows(angle_indices)]
+        idx = np.asarray(stored_views, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self._stored_views):
+            raise ValueError(f"stored view indices out of range [0, {self._stored_views})")
+        a = self.matrix[(idx[:, None] * self.n_bins + np.arange(self.n_bins)).ravel()]
         return a, a.T
 
 

@@ -3,8 +3,9 @@
 Everything here is built from first principles with none of the package's
 projection or autograd machinery: brute-force fine-step line integrals,
 analytic disk profiles, an antialiased disk rasteriser, loop forms of the
-two convolutions, and a per-tap loop form of the projector's column
-balancing.
+two convolutions, a per-tap loop form of the projector's column
+balancing, and the full-turn operator of a half-turn matrix with a plain
+OSEM loop over it.
 """
 
 from math import comb
@@ -160,3 +161,29 @@ def balance_columns_loop(mat, theta, height, width, n_bins, fov_radius, order=6)
         shape=(n_bins, height * width),
     ).tocsr()
     return mat + topup
+
+
+def stacked_operator(half: sp.csr_matrix, n_bins: int) -> sp.csr_matrix:
+    """The full-turn operator [A; R A] of a half-turn matrix A.
+
+    R reverses the bins within each view, so row block v + n/2 is row
+    block v read from the far side of the detector.
+    """
+    n_half = half.shape[0] // n_bins
+    reversed_rows = (np.arange(n_half)[:, None] * n_bins + np.arange(n_bins)[::-1]).ravel()
+    return sp.vstack([half, half[reversed_rows]], format="csr")
+
+
+def osem_loop(matrix, y, n_bins, n_subsets, n_iterations, x0, eps=1e-12):
+    """Textbook OSEM on an explicit matrix: interleaved view subsets, one row per bin."""
+    n_views = matrix.shape[0] // n_bins
+    x = np.array(x0, dtype=np.float64)
+    for _ in range(n_iterations):
+        for k in range(n_subsets):
+            rows = (np.arange(k, n_views, n_subsets)[:, None] * n_bins + np.arange(n_bins)).ravel()
+            a = matrix[rows]
+            fp = a @ x
+            ratio = np.where(fp > eps, y[rows] / np.where(fp > eps, fp, 1.0), 0.0)
+            sens = np.asarray(a.sum(axis=0)).ravel()
+            x = np.where(sens > 0, x * (a.T @ ratio) / np.where(sens > 0, sens, 1.0), 0.0)
+    return x

@@ -262,6 +262,7 @@ class TestCriterion5OsemSanity:
 
 
 class TestCriterion6DeskScaleLearning:
+    @pytest.mark.slow
     def test_beats_replication_and_degrades_monotonically(self, learned):
         man = learned.test_manifest
         model_agg = evaluate(model_predictor(learned.model), man).sinogram
@@ -283,6 +284,7 @@ class TestCriterion6DeskScaleLearning:
 
 
 class TestCriterion7ReconstructionDirection:
+    @pytest.mark.slow
     def test_model_recon_beats_sparse_recon_per_level(self, learned):
         phantom = shepp_logan(128)
         dense = project(phantom, n_angles=128)
@@ -312,6 +314,7 @@ class TestCriterion7ReconstructionDirection:
 
 
 class TestCriterion8Determinism:
+    @pytest.mark.slow
     def test_dataset_train_reproduce_bit_identical(self, learned, tmp_path):
         def tree_bytes(root: Path) -> dict:
             return {

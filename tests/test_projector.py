@@ -5,7 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 import sinoquad.projector as projector_mod
-from oracles import balance_columns_loop, brute_force_view, disk_image, disk_profile
+from oracles import (
+    balance_columns_loop,
+    brute_force_view,
+    disk_image,
+    disk_profile,
+    stacked_operator,
+)
 from sinoquad.geometry import GeometryError, Image, fov_mask, fov_radius
 from sinoquad.projector import ParallelProjector, get_projector, project, view_angles_deg
 from sinoquad.simulate import PhantomRecipe, generate_phantom, shepp_logan
@@ -125,7 +131,32 @@ class TestGeometry:
     def test_opposite_views_reverse(self):
         img = shepp_logan(128).data.astype(np.float64)
         sino = get_projector(128, 128, 128).forward(img)
-        np.testing.assert_allclose(sino[64], sino[0][::-1], atol=1e-9)
+        np.testing.assert_array_equal(sino[64:], sino[:64, ::-1])
+
+    @pytest.mark.parametrize("size,n_angles,start", [(128, 32, 0.0), (64, 16, 15.0)])
+    def test_folded_views_are_exact_reversals(self, size, n_angles, start):
+        proj = get_projector(size, size, n_angles, start_angle_deg=start)
+        assert proj.matrix.shape[0] == n_angles // 2 * size  # only the first half-turn
+        img = np.random.default_rng(5).random((size, size))
+        sino = proj.forward(img)
+        np.testing.assert_array_equal(sino[n_angles // 2:], sino[: n_angles // 2, ::-1])
+
+    @pytest.mark.parametrize("args", [(64, 64, 9), (64, 64, 16, 15.0, 180.0), (32, 32, 3, 7.0),
+                                      (32, 32, 1)])
+    def test_other_geometries_store_every_view(self, args):
+        proj = get_projector(*args)
+        assert proj.matrix.shape[0] == proj.n_angles * proj.n_bins
+
+    @pytest.mark.parametrize("theta", [225.0, 315.0])
+    def test_folded_diagonal_views_match_brute_force(self, theta):
+        # these views are the reversed 45 and 135 degree blocks, whose
+        # balancing window rounds exact ties differently from their own
+        proj = get_projector(128, 128, 128)
+        view = int(theta / 360.0 * 128)
+        for img in (disk_image(128, 32.0), shepp_logan(128).data.astype(np.float64)):
+            mine = proj.forward(img)[view]
+            ref = brute_force_view(img, theta, 128)
+            assert np.abs(mine - ref).max() <= 0.01 * ref.max()
 
     def test_rotation_consistency_smooth_image(self):
         # spline-rotate a smooth blob image; its sinogram must shift by views
@@ -168,8 +199,10 @@ class TestAdjointAndSubsets:
             lhs = float((proj.forward(x) * y).sum())
             rhs = float((x * proj.adjoint(y)).sum())
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-        np.testing.assert_array_equal(
-            proj.adjoint(y), (proj.matrix.T @ y.ravel()).reshape(64, 64)
+        full = stacked_operator(proj.matrix, 64)
+        np.testing.assert_array_equal(proj.forward(x).ravel(), full @ x.ravel())
+        np.testing.assert_allclose(
+            proj.adjoint(y), (full.T @ y.ravel()).reshape(64, 64), rtol=1e-12, atol=1e-12
         )
 
     def test_stores_only_the_forward_matrix(self):
@@ -179,21 +212,40 @@ class TestAdjointAndSubsets:
 
     def test_subset_rows_match_full_matrix(self):
         proj = get_projector(64, 64, 16)
+        full = stacked_operator(proj.matrix, 64)
         idx = [1, 5, 9, 13]
-        a_sub, a_sub_t = proj.subset_operators(idx)
+        rows = np.random.default_rng(13).random((4, 64))
+        stored, folded, reads = proj.fold(idx, rows)
+        np.testing.assert_array_equal(stored, [1, 5])
+        np.testing.assert_array_equal(reads, [2, 2])
+        a_sub, a_sub_t = proj.subset_operators(stored)
         img = np.random.default_rng(11).random((64, 64))
-        full = proj.forward(img)
-        np.testing.assert_array_equal((a_sub @ img.ravel()).reshape(4, 64), full[idx])
+        np.testing.assert_array_equal(
+            (a_sub @ img.ravel()).reshape(2, 64), proj.forward(img)[stored]
+        )
+        # the folded data back-project as the stacked operator's rows of every view
+        full_sub = full[(np.array(idx)[:, None] * 64 + np.arange(64)).ravel()]
+        np.testing.assert_allclose(a_sub_t @ folded.ravel(), full_sub.T @ rows.ravel(), rtol=1e-12)
         assert (a_sub_t != a_sub.T).nnz == 0
         assert np.shares_memory(a_sub_t.data, a_sub.data)  # a view, not a copy
         # the view's matvec sums in the same order as a transposed copy's
-        r = np.random.default_rng(12).random(4 * 64)
+        r = np.random.default_rng(12).random(2 * 64)
         np.testing.assert_array_equal(a_sub_t @ r, a_sub.T.tocsr() @ r)
 
-    def test_view_rows_bounds(self):
+    def test_fold_leaves_unfolded_views_alone(self):
+        proj = get_projector(64, 64, 9)
+        rows = np.random.default_rng(14).random((3, 64))
+        stored, folded, reads = proj.fold([2, 5, 8], rows)
+        np.testing.assert_array_equal(stored, [2, 5, 8])
+        np.testing.assert_array_equal(folded, rows)
+        np.testing.assert_array_equal(reads, [1, 1, 1])
+
+    def test_subset_operators_bounds(self):
         proj = get_projector(64, 64, 16)
         with pytest.raises(ValueError, match="out of range"):
-            proj.view_rows([16])
+            proj.subset_operators([8])  # view 8 is stored as view 0, reversed
+        with pytest.raises(ValueError, match="out of range"):
+            proj.fold([16], np.zeros((1, 64)))
 
     @pytest.mark.parametrize(
         "shape,n_angles,bad",

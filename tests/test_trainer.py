@@ -147,6 +147,7 @@ class TestSplit:
 
 
 class TestTraining:
+    @pytest.mark.slow
     def test_overfits_single_pair(self, tmp_path):
         # capacity sanity: the default-width network must memorize one
         # pair in 500 steps at lr 1e-3. The slowest test in the suite
