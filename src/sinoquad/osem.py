@@ -78,16 +78,16 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
         views = np.arange(k, sino.n_angles, cfg.n_subsets)
         stored, y_k, reads = proj.fold(views, y[views])
         a, a_adj = proj.subset_operators(stored)
-        sens = a_adj @ np.repeat(reads, sino.n_bins).astype(np.float64)
-        subsets.append((a, a_adj, sens, y_k.ravel()))
+        sens = a_adj @ proj.rows_from_views(np.repeat(reads, sino.n_bins).astype(np.float64))
+        inv_sens = np.divide(1.0, sens, out=np.zeros_like(sens), where=sens > 0)
+        subsets.append((a, a_adj, inv_sens, y_k))
 
     x = fov_mask(size, size).astype(np.float64).ravel()
     for it in range(cfg.n_iterations):
-        for a, a_adj, sens, y_k in subsets:
-            fp = a @ x
-            ratio = np.where(fp > _RATIO_EPS, y_k / np.where(fp > _RATIO_EPS, fp, 1.0), 0.0)
-            back = a_adj @ ratio
-            x = np.where(sens > 0, x * back / np.where(sens > 0, sens, 1.0), 0.0)
+        for a, a_adj, inv_sens, y_k in subsets:
+            fp = proj.views_from_rows(a @ x)
+            ratio = np.divide(y_k, fp, out=np.zeros_like(fp), where=fp > _RATIO_EPS)
+            x = x * (a_adj @ proj.rows_from_views(ratio)) * inv_sens
         if callback is not None:
             callback(it, x.reshape(size, size).copy())
 

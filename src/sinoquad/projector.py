@@ -36,6 +36,15 @@ locally exact mass while the binomial taper cancels the wobble instead of
 re-aliasing it. Every pixel the detector can see ends up with a column sum
 of exactly 1, so per-view mass conservation holds to float round-off and
 all matrix entries stay nonnegative.
+
+The window is the same fixed binomial filter C for every pixel, so the
+matrix stores it once per pixel, not once per tap: each view has n_bins
+core rows (the scaled ray sampling) and n_bins centre rows holding each
+pixel's deficit at its centre bin, and a view's projection is
+core + C(centre), with C applied along the detector axis after the matrix
+product (`views_from_rows`; the adjoint's `rows_from_views` is its
+transpose). A pixel whose window the detector edge clips keeps its
+renormalised top-up taps as explicit entries in the core rows instead.
 """
 
 from __future__ import annotations
@@ -52,10 +61,31 @@ __all__ = ["ParallelProjector", "get_projector", "project", "view_angles_deg"]
 
 SAMPLE_STEP = 0.25  # pixels along the ray; contract requires <= 0.5
 _BALANCE_ORDER = 6  # binomial window spans _BALANCE_ORDER + 1 detector bins
+_TAPER = np.array([comb(_BALANCE_ORDER, k) for k in range(_BALANCE_ORDER + 1)], dtype=np.float64)
+_TAPER /= _TAPER.sum()  # taps k/64: a whole window sums to exactly 1.0
+
+
+@lru_cache(maxsize=8)
+def _filter_matrix(n_bins: int) -> sp.csr_matrix:
+    """The binomial filter C along a detector: row b holds _TAPER[k] at bin b + k - half."""
+    taps = np.flatnonzero(np.abs(np.arange(_TAPER.size) - _BALANCE_ORDER // 2) < n_bins)
+    c = sp.diags(list(_TAPER[taps]), taps - _BALANCE_ORDER // 2, shape=(n_bins, n_bins)).tocsr()
+    c.sort_indices()
+    return c
+
+
+def _spread(bins: np.ndarray) -> np.ndarray:
+    """C along the last (detector) axis of [views, n_bins], zero past its edges.
+
+    A CSR product sums each row in column order, so bin b sums
+    _TAPER[k] * bins[b + k - half] in tap order k = 0, 1, ... C is
+    symmetric, so this is also its transpose.
+    """
+    return (_filter_matrix(bins.shape[-1]) @ bins.T).T
 
 
 def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int) -> sp.csr_matrix:
-    """Sparse [n_bins, height*width] line-integral operator for one view."""
+    """Sparse [2 * n_bins, height*width] operator for one view: core rows, then centre rows."""
     theta = np.deg2rad(theta_deg)
     es = (np.cos(theta), np.sin(theta))  # detector axis
     et = (-np.sin(theta), np.cos(theta))  # ray direction
@@ -106,6 +136,10 @@ def _balance_columns(
     per-pixel shortfall is spread over a binomial window of bins around the
     pixel's detector coordinate. Uniform scale + windowed top-up perturbs
     line-integral values far less than rescaling columns individually.
+
+    Returns the [2 * n_bins] rows of the stored layout: the scaled view plus
+    the top-up taps of windows the detector edge clips, then each other
+    pixel's deficit at its centre bin, which the filter C spreads later.
     """
     col_sums = np.asarray(mat.sum(axis=0)).ravel()
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
@@ -116,30 +150,30 @@ def _balance_columns(
     # reference sensitivity: the largest over anything the rotation covers
     covered = (r_pix <= fov_radius(width) + 2.0) & (col_sums > 0)
     ref = float(col_sums[covered].max()) if covered.any() else float(col_sums.max())
-    if ref <= 0.0:
-        return mat
+    if ref <= 0.0:  # no ray meets the image: no column has anything to balance
+        ref = 1.0
     mat = mat * (1.0 / ref)
+    mat.resize(2 * n_bins, height * width)
 
     deficit = 1.0 - col_sums / ref
     centre = np.rint(s_pix + (n_bins - 1) / 2.0).astype(np.int64)
     half = _BALANCE_ORDER // 2
-    taper = np.array(
-        [comb(_BALANCE_ORDER, k) for k in range(_BALANCE_ORDER + 1)], dtype=np.float64
-    )
-    taper /= taper.sum()
 
     # [taps, pixels] detector bin of each window tap; inside: the tap is on the detector
     bins = centre[None, :] + np.arange(-half, half + 1)[:, None]
     inside = (bins >= 0) & (bins < n_bins)
-    avail = np.where(inside, taper[:, None], 0.0).sum(axis=0)
+    avail = np.where(inside, _TAPER[:, None], 0.0).sum(axis=0)
     fixable = (deficit > 1e-12) & (col_sums > 0) & (avail > 0)
+    whole = fixable & inside.all(axis=0)
 
-    tap, pix = np.nonzero(inside & fixable[None, :])
-    if not tap.size:
-        return mat
+    tap, pix = np.nonzero(inside & (fixable & ~whole)[None, :])
+    (cen,) = np.nonzero(whole)
     topup = sp.coo_matrix(
-        (deficit[pix] * (taper[tap] / avail[pix]), (bins[tap, pix], pix)),
-        shape=(n_bins, height * width),
+        (
+            np.concatenate([deficit[pix] * (_TAPER[tap] / avail[pix]), deficit[cen]]),
+            (np.concatenate([bins[tap, pix], n_bins + centre[cen]]), np.concatenate([pix, cen])),
+        ),
+        shape=(2 * n_bins, height * width),
     ).tocsr()
     return mat + topup
 
@@ -171,7 +205,23 @@ class ParallelProjector:
     @property
     def _stored_views(self) -> int:
         """Views the matrix holds: the first half-turn's when folded, else all."""
-        return self.matrix.shape[0] // self.n_bins
+        return self.matrix.shape[0] // (2 * self.n_bins)
+
+    def views_from_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Stored views' bins [views, n_bins] from a product of their matrix rows.
+
+        Each view's bins are its core rows plus the filter C of its centre rows.
+        """
+        rows = np.reshape(rows, (-1, 2, self.n_bins))
+        return rows[:, 0] + _spread(rows[:, 1])
+
+    def rows_from_views(self, views: np.ndarray) -> np.ndarray:
+        """Transpose of views_from_rows: the matrix-row vector of views' bins.
+
+        C is symmetric, so each view's centre rows read C of its bins.
+        """
+        views = np.reshape(views, (-1, self.n_bins))
+        return np.stack([views, _spread(views)], axis=1).ravel()
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         img = np.asarray(image, dtype=np.float64)
@@ -180,7 +230,7 @@ class ParallelProjector:
                 f"image shape {img.shape} does not match projector {(self.height, self.width)}"
             )
         half = self._stored_views
-        out = (self.matrix @ img.ravel()).reshape(half, self.n_bins)
+        out = self.views_from_rows(self.matrix @ img.ravel())
         if half != self.n_angles:
             out = np.concatenate([out, out[:, ::-1]])
         return out
@@ -195,7 +245,7 @@ class ParallelProjector:
         half = self._stored_views
         if half != self.n_angles:
             sino = sino[:half] + sino[half:, ::-1]
-        out = self.matrix.T @ sino.ravel()
+        out = self.matrix.T @ self.rows_from_views(sino)
         return out.reshape(self.height, self.width)
 
     def fold(self, angle_indices, rows: np.ndarray):
@@ -221,11 +271,14 @@ class ParallelProjector:
     def subset_operators(self, stored_views):
         """(forward, adjoint) sparse matrices restricted to some stored views.
 
-        The adjoint is a transpose view sharing the forward matrix's arrays."""
+        Their products go through views_from_rows and rows_from_views like the
+        full matrix's. The adjoint is a transpose view sharing the forward
+        matrix's arrays."""
         idx = np.asarray(stored_views, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self._stored_views):
             raise ValueError(f"stored view indices out of range [0, {self._stored_views})")
-        a = self.matrix[(idx[:, None] * self.n_bins + np.arange(self.n_bins)).ravel()]
+        per_view = 2 * self.n_bins
+        a = self.matrix[(idx[:, None] * per_view + np.arange(per_view)).ravel()]
         return a, a.T
 
 

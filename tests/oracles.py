@@ -4,14 +4,21 @@ Everything here is built from first principles with none of the package's
 projection or autograd machinery: brute-force fine-step line integrals,
 analytic disk profiles, an antialiased disk rasteriser, loop forms of the
 two convolutions, a per-tap loop form of the projector's column
-balancing, and the full-turn operator of a half-turn matrix with a plain
-OSEM loop over it.
+balancing, a loop form of the detector filter and the forward projection
+through it, the explicit matrix of the projector's stored rows and
+detector filter, and its full-turn operator with a plain OSEM loop over it.
 """
 
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def binomial_taps(order: int) -> np.ndarray:
+    """The (order + 1) binomial coefficients of `order`, normalised to sum 1."""
+    taper = np.array([comb(order, k) for k in range(order + 1)], dtype=np.float64)
+    return taper / taper.sum()
 
 
 def brute_force_view(img: np.ndarray, theta_deg: float, n_bins: int, step: float = 0.01) -> np.ndarray:
@@ -138,8 +145,7 @@ def balance_columns_loop(mat, theta, height, width, n_bins, fov_radius, order=6)
     mat = mat * (1.0 / ref)
     deficit = 1.0 - col_sums / ref
     centre = np.rint(s_pix + (n_bins - 1) / 2.0).astype(np.int64)
-    taper = np.array([comb(order, k) for k in range(order + 1)], dtype=np.float64)
-    taper /= taper.sum()
+    taper = binomial_taps(order)
     offsets = range(-(order // 2), order // 2 + 1)
 
     avail = np.zeros(height * width)
@@ -163,13 +169,71 @@ def balance_columns_loop(mat, theta, height, width, n_bins, fov_radius, order=6)
     return mat + topup
 
 
-def stacked_operator(half: sp.csr_matrix, n_bins: int) -> sp.csr_matrix:
-    """The full-turn operator [A; R A] of a half-turn matrix A.
+def effective_view(rows: sp.csr_matrix, n_bins: int, order=6) -> sp.csr_matrix:
+    """One stored view's [core; centre] rows as the matrix core + C centre.
+
+    C is the (order + 1)-tap binomial window along the detector, normalised
+    to sum 1 and cut off at the detector edges.
+    """
+    taper = binomial_taps(order)
+    c = sp.diags(list(taper), range(-(order // 2), order // 2 + 1), shape=(n_bins, n_bins))
+    return (rows[:n_bins] + c.tocsr() @ rows[n_bins:]).tocsr()
+
+
+def effective_operator(proj) -> sp.csr_matrix:
+    """The [stored views * n_bins, pixels] matrix a projector's stored rows apply."""
+    n = proj.n_bins
+    n_views = proj.matrix.shape[0] // (2 * n)
+    views = [effective_view(proj.matrix[2 * n * v : 2 * n * (v + 1)], n) for v in range(n_views)]
+    return sp.vstack(views, format="csr")
+
+
+def filter_loop(bins: np.ndarray, order=6) -> np.ndarray:
+    """C applied to one view's bins: a loop over bins, summing taps in order.
+
+    Bin b accumulates taper[k] * bins[b + k - order // 2] for k = 0, 1, ...,
+    starting from 0 and reading 0 past the detector edges.
+    """
+    taper, n = binomial_taps(order), len(bins)
+    out = np.zeros(n)
+    for b in range(n):
+        acc = 0.0
+        for k in range(order + 1):
+            j = b + k - order // 2
+            acc += taper[k] * (bins[j] if 0 <= j < n else 0.0)
+        out[b] = acc
+    return out
+
+
+def forward_by_views(proj, image: np.ndarray) -> np.ndarray:
+    """A projector's sinogram computed one stored view at a time.
+
+    Each view is its core rows' product plus `filter_loop` of its centre
+    rows' product, then a half-turn projector appends its views with the
+    bins reversed: the order of operations `forward` promises.
+    """
+    n, x = proj.n_bins, np.asarray(image, dtype=np.float64).ravel()
+    views = []
+    for v in range(proj.matrix.shape[0] // (2 * n)):
+        core = proj.matrix[2 * n * v : 2 * n * v + n] @ x
+        centre = proj.matrix[2 * n * v + n : 2 * n * (v + 1)] @ x
+        views.append(core + filter_loop(centre))
+    out = np.array(views)
+    if len(views) != proj.n_angles:
+        out = np.concatenate([out, out[:, ::-1]])
+    return out
+
+
+def stacked_operator(proj) -> sp.csr_matrix:
+    """The operator of all of a projector's views, [A; R A] for a half-turn A.
 
     R reverses the bins within each view, so row block v + n/2 is row
     block v read from the far side of the detector.
     """
+    half, n_bins = effective_operator(proj), proj.n_bins
     n_half = half.shape[0] // n_bins
+    if n_half == proj.n_angles:
+        return half
     reversed_rows = (np.arange(n_half)[:, None] * n_bins + np.arange(n_bins)[::-1]).ravel()
     return sp.vstack([half, half[reversed_rows]], format="csr")
 

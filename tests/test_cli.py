@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinoquad
 from sinoquad import projector
 from sinoquad.cli import main
 from sinoquad.geometry import Image, Sinogram
@@ -56,6 +61,16 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "phantom" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args,code,err", [(["--help"], 0, ""),
+                                               (["frobnicate"], 1, "error: usage:")])
+    def test_runs_as_a_module(self, args, code, err):
+        src = str(Path(sinoquad.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "sinoquad", *args], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(err)
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code = main(["project", "--in", str(tmp_path / "nope.sptb"),

@@ -169,8 +169,8 @@ class TestHalfTurnFold:
         osem(sino, cfg, callback=lambda it, img: frames.append(img))
 
         proj = get_projector(size, size, n_views)
-        assert proj.matrix.shape[0] == n_views // 2 * size
+        assert proj.matrix.shape[0] == n_views // 2 * 2 * size
         y = np.asarray(sino.data, dtype=np.float64).ravel()
-        ref = osem_loop(stacked_operator(proj.matrix, size), y, size, n_subsets, 5,
+        ref = osem_loop(stacked_operator(proj), y, size, n_subsets, 5,
                         fov_mask(size, size).astype(np.float64).ravel())
         assert np.abs(frames[-1].ravel() - ref).max() <= 1e-9 * ref.max()

@@ -10,6 +10,8 @@ from oracles import (
     brute_force_view,
     disk_image,
     disk_profile,
+    effective_view,
+    forward_by_views,
     stacked_operator,
 )
 from sinoquad.geometry import GeometryError, Image, fov_mask, fov_radius
@@ -107,17 +109,19 @@ class TestMassConservation:
 
     @pytest.mark.parametrize("theta,size,n_bins", [
         (0.0, 32, 32), (30.9375, 32, 32), (45.0, 24, 40), (200.0, 16, 12),
+        (0.0, 128, 128), (45.0, 128, 128),
     ])
     def test_balance_matches_tap_loop(self, monkeypatch, theta, size, n_bins):
         calls = []
         real = projector_mod._balance_columns
         monkeypatch.setattr(projector_mod, "_balance_columns",
                             lambda *args: calls.append(args) or real(*args))
-        got = projector_mod._view_matrix(theta, size, size, n_bins)
+        got = effective_view(projector_mod._view_matrix(theta, size, size, n_bins), n_bins)
         (args,) = calls
         ref = balance_columns_loop(*args, fov_radius=fov_radius(size))
-        for attr in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got, attr), getattr(ref, attr))
+        # every entry bit for bit; the loop also keeps bilinear weights that
+        # are exactly 0 as stored entries in a view with no top-up
+        np.testing.assert_array_equal(got.toarray(), ref.toarray())
 
     def test_every_covered_pixel_is_balanced(self):
         # column sums inside the field of view are pinned to 1
@@ -136,7 +140,7 @@ class TestGeometry:
     @pytest.mark.parametrize("size,n_angles,start", [(128, 32, 0.0), (64, 16, 15.0)])
     def test_folded_views_are_exact_reversals(self, size, n_angles, start):
         proj = get_projector(size, size, n_angles, start_angle_deg=start)
-        assert proj.matrix.shape[0] == n_angles // 2 * size  # only the first half-turn
+        assert proj.matrix.shape[0] == n_angles // 2 * 2 * size  # only the first half-turn
         img = np.random.default_rng(5).random((size, size))
         sino = proj.forward(img)
         np.testing.assert_array_equal(sino[n_angles // 2:], sino[: n_angles // 2, ::-1])
@@ -145,7 +149,7 @@ class TestGeometry:
                                       (32, 32, 1)])
     def test_other_geometries_store_every_view(self, args):
         proj = get_projector(*args)
-        assert proj.matrix.shape[0] == proj.n_angles * proj.n_bins
+        assert proj.matrix.shape[0] == proj.n_angles * 2 * proj.n_bins
 
     @pytest.mark.parametrize("theta", [225.0, 315.0])
     def test_folded_diagonal_views_match_brute_force(self, theta):
@@ -189,6 +193,30 @@ class TestGeometry:
         np.testing.assert_allclose(sino.angles_deg(), np.arange(8) * 45.0)
 
 
+class TestStoredLayout:
+    @pytest.mark.parametrize("n_angles,max_nnz", [(128, 3_500_000), (32, 820_000)])
+    def test_nonzero_budget(self, n_angles, max_nnz):
+        matrix = get_projector(128, 128, n_angles).matrix
+        assert matrix.nnz <= max_nnz
+        assert matrix.data.min() >= 0.0
+
+    @pytest.mark.parametrize("args", [(128, 128, 32), (32, 32, 3, 7.0, 360.0, 20)])
+    def test_deficit_is_stored_once_per_pixel(self, args):
+        # a pixel keeps its deficit at its centre bin or as clipped top-up
+        # taps in the core rows, never both: both would sum to 1 + deficit
+        proj = get_projector(*args)
+        n, half = proj.n_bins, projector_mod._BALANCE_ORDER // 2
+        for v in range(proj.matrix.shape[0] // (2 * n)):
+            core = proj.matrix[2 * n * v : 2 * n * v + n]
+            centre = proj.matrix[2 * n * v + n : 2 * n * (v + 1)].tocsc()
+            cols = np.flatnonzero(np.diff(centre.indptr))
+            assert (np.diff(centre.indptr)[cols] == 1).all()  # one deficit per pixel
+            bins = centre.indices[centre.indptr[cols]]
+            assert ((bins >= half) & (bins < n - half)).all()  # its window is on the detector
+            total = np.asarray(core.sum(axis=0)).ravel()[cols] + centre.data[centre.indptr[cols]]
+            np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+
+
 class TestAdjointAndSubsets:
     def test_adjoint_dot_products(self):
         proj = get_projector(64, 64, 16)
@@ -199,8 +227,11 @@ class TestAdjointAndSubsets:
             lhs = float((proj.forward(x) * y).sum())
             rhs = float((x * proj.adjoint(y)).sum())
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-        full = stacked_operator(proj.matrix, 64)
-        np.testing.assert_array_equal(proj.forward(x).ravel(), full @ x.ravel())
+        # bit for bit against the same sums, taken one view and one tap at a time
+        np.testing.assert_array_equal(proj.forward(x), forward_by_views(proj, x))
+        full = stacked_operator(proj)
+        # the explicit operator sums each bin in another order
+        np.testing.assert_allclose(proj.forward(x).ravel(), full @ x.ravel(), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(
             proj.adjoint(y), (full.T @ y.ravel()).reshape(64, 64), rtol=1e-12, atol=1e-12
         )
@@ -212,7 +243,7 @@ class TestAdjointAndSubsets:
 
     def test_subset_rows_match_full_matrix(self):
         proj = get_projector(64, 64, 16)
-        full = stacked_operator(proj.matrix, 64)
+        full = stacked_operator(proj)
         idx = [1, 5, 9, 13]
         rows = np.random.default_rng(13).random((4, 64))
         stored, folded, reads = proj.fold(idx, rows)
@@ -221,15 +252,17 @@ class TestAdjointAndSubsets:
         a_sub, a_sub_t = proj.subset_operators(stored)
         img = np.random.default_rng(11).random((64, 64))
         np.testing.assert_array_equal(
-            (a_sub @ img.ravel()).reshape(2, 64), proj.forward(img)[stored]
+            proj.views_from_rows(a_sub @ img.ravel()), proj.forward(img)[stored]
         )
         # the folded data back-project as the stacked operator's rows of every view
         full_sub = full[(np.array(idx)[:, None] * 64 + np.arange(64)).ravel()]
-        np.testing.assert_allclose(a_sub_t @ folded.ravel(), full_sub.T @ rows.ravel(), rtol=1e-12)
+        np.testing.assert_allclose(
+            a_sub_t @ proj.rows_from_views(folded), full_sub.T @ rows.ravel(), rtol=1e-12
+        )
         assert (a_sub_t != a_sub.T).nnz == 0
         assert np.shares_memory(a_sub_t.data, a_sub.data)  # a view, not a copy
         # the view's matvec sums in the same order as a transposed copy's
-        r = np.random.default_rng(12).random(2 * 64)
+        r = np.random.default_rng(12).random(2 * 2 * 64)
         np.testing.assert_array_equal(a_sub_t @ r, a_sub.T.tocsr() @ r)
 
     def test_fold_leaves_unfolded_views_alone(self):
