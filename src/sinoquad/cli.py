@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .geometry import Image, Sinogram
 from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, write_atomic, write_tomo
 from .metrics import MetricsReport, format_table

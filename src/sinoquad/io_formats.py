@@ -257,8 +257,13 @@ def read_manifest(path) -> list[dict]:
             row = json.loads(line)
         except json.JSONDecodeError as err:
             raise TomoFormatError(f"{path}:{ln}: bad manifest JSON: {err}") from None
+        if not isinstance(row, dict):
+            raise TomoFormatError(f"{path}:{ln}: manifest row is not a JSON object")
         missing = [k for k in _MANIFEST_KEYS if k not in row]
         if missing:
             raise TomoFormatError(f"{path}:{ln}: manifest row missing keys {missing}")
+        bad = [k for k in ("input", "target", "phantom") if not isinstance(row[k], str)]
+        if bad:
+            raise TomoFormatError(f"{path}:{ln}: manifest file names {bad} are not strings")
         rows.append(row)
     return rows

@@ -4,6 +4,9 @@ Every stochastic component in the package draws from a Philox4x64-10
 counter-based generator keyed by (seed, index, purpose). Streams for
 different items are independent by construction, so work can be split
 across processes and still produce bit-identical results in any order.
+Draws come from numpy's own samplers (``gen.random()``, ``gen.poisson()``,
+...), which are deterministic for a given Philox state within one numpy
+version.
 
 Key packing: key word 0 = seed, key word 1 = index * 256 + purpose, both
 reduced mod 2**64.
@@ -12,7 +15,6 @@ reduced mod 2**64.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["stream", "sample_poisson"]
 
@@ -38,79 +40,12 @@ def stream(seed: int, index: int = 0, purpose: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_PTRS_CUTOFF = 10.0
-
-
-def _poisson_inversion(lam: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Sequential-search inversion; only sound for small rates (< ~10)."""
-    u = gen.random(lam.size)
-    k = np.zeros(lam.size, dtype=np.int64)
-    p = np.exp(-lam)
-    cdf = p.copy()
-    active = u >= cdf
-    while active.any():
-        k[active] += 1
-        p[active] *= lam[active] / k[active]
-        cdf[active] += p[active]
-        active = u >= cdf
-    return k
-
-
-def _poisson_ptrs(lam: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Hoermann's PTRS transformed rejection sampler for rates >= 10."""
-    out = np.empty(lam.size, dtype=np.int64)
-    todo = np.arange(lam.size)
-    b = 0.931 + 2.53 * np.sqrt(lam)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_lam = np.log(lam)
-    while todo.size:
-        lam_t = lam[todo]
-        u = gen.random(todo.size) - 0.5
-        v = gen.random(todo.size)
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a[todo] / np.maximum(us, 1e-300) + b[todo]) * u + lam_t + 0.43)
-        accept = (us >= 0.07) & (v <= v_r[todo])
-        hard_reject = (us <= 0.0) | (k < 0) | ((us < 0.013) & (v > us))
-        need_log = ~accept & ~hard_reject
-        if need_log.any():
-            kn = k[need_log]
-            usn = us[need_log]
-            tn = todo[need_log]
-            lhs = np.log(v[need_log] * inv_alpha[tn] / (a[tn] / (usn * usn) + b[tn]))
-            rhs = kn * log_lam[tn] - lam[tn] - gammaln(kn + 1.0)
-            sub = np.zeros(todo.size, dtype=bool)
-            sub[need_log] = lhs <= rhs
-            accept = accept | sub
-        out[todo[accept]] = k[accept].astype(np.int64)
-        todo = todo[~accept]
-    return out
-
-
 def sample_poisson(lam: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """Draw Poisson counts for an array of rates.
+    """Draw Poisson counts for an array (or scalar) of rates with gen.poisson.
 
-    Rates below 10 use sequential-search inversion; larger rates use the
-    PTRS transformed-rejection method. Consumption order is fixed (small
-    block first, then large), so results are reproducible for a given
-    generator state. Rates of exactly 0 always yield 0.
+    Rates must be finite and nonnegative; a rate of exactly 0 yields 0.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim == 0:
-        lam = lam.reshape(1)
-        scalar = True
-    else:
-        scalar = False
     if (lam < 0).any() or not np.isfinite(lam).all():
         raise ValueError("Poisson rates must be finite and nonnegative")
-    flat = lam.ravel()
-    out = np.zeros(flat.size, dtype=np.int64)
-    small = flat < _PTRS_CUTOFF
-    if small.any():
-        out[small] = _poisson_inversion(flat[small], gen)
-    large = ~small
-    if large.any():
-        out[large] = _poisson_ptrs(flat[large], gen)
-    out = out.reshape(lam.shape)
-    return out[0] if scalar else out
+    return gen.poisson(lam)

@@ -5,14 +5,17 @@ Gaussian blobs, sized in proportion to the image, supported strictly inside
 a circular field of view and max-normalised to 1.0. Every item is generated
 from its own Philox stream keyed by (dataset seed, item index), so
 regeneration is bit-identical and independent of worker count or ordering.
+Counting noise is drawn with numpy's Poisson sampler, which, like
+gen.random(), is deterministic for a given Philox state within one numpy
+version.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import functools
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,9 +27,7 @@ from .io_formats import write_manifest, write_tomo
 from .projector import project
 
 __all__ = [
-    "NoiseLevel",
     "NOISE_LEVELS",
-    "get_noise_level",
     "PhantomRecipe",
     "generate_phantom",
     "shepp_logan",
@@ -41,35 +42,19 @@ class ZeroMassError(ValueError):
     """Raised when an operation needs positive total activity and finds none."""
 
 
-@dataclass(frozen=True)
-class NoiseLevel:
-    """A count budget: the sinogram is scaled so its total equals expected_counts."""
-
-    label: str
-    expected_counts: float
-
-
+# Count budgets: label -> (expected total counts, noise stream purpose). The
+# sinogram is scaled so its total equals the expected counts before sampling.
 NOISE_LEVELS = {
-    "low": NoiseLevel("low", 1e6),
-    "medium": NoiseLevel("medium", 2.5e5),
-    "high": NoiseLevel("high", 5e4),
-}
-
-_NOISE_PURPOSE = {
-    "low": rng_mod.PURPOSE_NOISE_LOW,
-    "medium": rng_mod.PURPOSE_NOISE_MEDIUM,
-    "high": rng_mod.PURPOSE_NOISE_HIGH,
+    "low": (1e6, rng_mod.PURPOSE_NOISE_LOW),
+    "medium": (2.5e5, rng_mod.PURPOSE_NOISE_MEDIUM),
+    "high": (5e4, rng_mod.PURPOSE_NOISE_HIGH),
 }
 
 
-def get_noise_level(level) -> NoiseLevel:
-    """A level by label, or a NoiseLevel whose label has a noise stream."""
-    label = level.label if isinstance(level, NoiseLevel) else level
-    if label not in _NOISE_PURPOSE:
-        raise ValueError(
-            f"unknown noise level {label!r}, expected one of {sorted(_NOISE_PURPOSE)}"
-        )
-    return level if isinstance(level, NoiseLevel) else NOISE_LEVELS[label]
+def _noise_level(label: str) -> tuple[float, int]:
+    if label not in NOISE_LEVELS:
+        raise ValueError(f"unknown noise level {label!r}, expected one of {sorted(NOISE_LEVELS)}")
+    return NOISE_LEVELS[label]
 
 
 # The phantom distribution. Lengths are in pixels of a 128-pixel image and
@@ -221,21 +206,22 @@ def shepp_logan_analytic_mass(size: int = 128) -> float:
     return float(total / 2.0)  # rendering is max-normalised; the peak value is 2.0
 
 
-def apply_poisson(sino: Sinogram, level, seed: int, index: int = 0) -> Sinogram:
+def apply_poisson(sino: Sinogram, level: str, seed: int, index: int = 0) -> Sinogram:
     """Simulate photon counting at a noise level's count budget.
 
-    The sinogram is scaled so its total equals the level's expected counts,
-    each bin is replaced by a Poisson draw, and the scale is divided back
-    out, so the output stays in the input's intensity units. Zero bins stay
-    exactly zero. Deterministic for a given (seed, index)).
+    level is a NOISE_LEVELS label. The sinogram is scaled so its total
+    equals the level's expected counts, each bin is replaced by a Poisson
+    draw, and the scale is divided back out, so the output stays in the
+    input's intensity units. Zero bins stay exactly zero. Deterministic for
+    a given (seed, index, level).
     """
-    level = get_noise_level(level)
+    expected_counts, purpose = _noise_level(level)
     total = float(np.sum(sino.data, dtype=np.float64))
     if total <= 0:
         raise ZeroMassError("cannot add counting noise to a sinogram with zero total")
-    scale = level.expected_counts / total
+    scale = expected_counts / total
     lam = sino.data.astype(np.float64) * scale
-    gen = rng_mod.stream(seed, index, _NOISE_PURPOSE[level.label])
+    gen = rng_mod.stream(seed, index, purpose)
     counts = rng_mod.sample_poisson(lam, gen)
     return dataclasses.replace(sino, data=(counts / scale).astype(np.float32))
 
@@ -294,8 +280,8 @@ def make_dataset(
     """Generate (noisy input, clean target, phantom) triples plus a manifest.
 
     noise is "low", "medium", "high", or "mixed" (cycling the three levels
-    by index). Items are independent, so jobs > 1 splits them across
-    processes; outputs are bit-identical regardless of the worker count.
+    by index). Items are independent, so they are split across
+    min(jobs, count, CPUs) processes with the same output bytes.
     Returns the manifest path (out_dir/manifest.jsonl).
     """
     if count < 1:
@@ -303,7 +289,7 @@ def make_dataset(
     if in_views < 1 or out_views < 1:
         raise ValueError(f"in_views and out_views must be >= 1, got {in_views} and {out_views}")
     if noise != "mixed":
-        get_noise_level(noise)  # validates the label
+        _noise_level(noise)  # validates the label
     if out_views % in_views:
         raise ValueError(f"in_views {in_views} must divide out_views {out_views}")
     out = Path(out_dir)
@@ -313,11 +299,12 @@ def make_dataset(
         _dataset_item, recipe, noise=noise, out_dir=str(out), in_views=in_views,
         out_views=out_views,
     )
-    if jobs <= 1:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers <= 1:
         rows = list(map(item, range(count)))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(item, range(count), chunksize=max(1, count // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(item, range(count), chunksize=max(1, count // (4 * workers))))
     manifest = out / "manifest.jsonl"
     write_manifest(manifest, rows)
     return manifest

@@ -58,8 +58,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must be in (0, 1)")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.base_channels < 1:
             raise ValueError("base_channels must be >= 1")
 

@@ -292,6 +292,29 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_learning_rate_is_data_error(self, tmp_path, capsys, rate):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"manifest = m.jsonl\nlearning_rate = {rate}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "learning_rate" in err
+        assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("line", [
+        "5",
+        '{"input": 5, "target": "t.sptb", "phantom": "p.sptb", "seed": 0, "noise": "low"}',
+    ], ids=["row-not-an-object", "input-not-a-string"])
+    def test_malformed_manifest_row_is_data_error(self, tmp_path, capsys, line):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(line + "\n")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"manifest = {manifest}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and f"{manifest}:1:" in err
+        assert "\n" not in err.strip()
+
 
 class TestEvalCommand:
     def test_identical_pair_json(self, tmp_path, capsys):

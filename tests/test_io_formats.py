@@ -261,6 +261,21 @@ class TestManifest:
         with pytest.raises(TomoFormatError, match=":1:.*missing"):
             read_manifest(path)
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"row"', "null"])
+    def test_read_rejects_non_object_row_with_line_number(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(self.ROW) + "\n" + line + "\n")
+        with pytest.raises(TomoFormatError, match=":2:.*JSON object"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("key", ["input", "target", "phantom"])
+    @pytest.mark.parametrize("value", [5, None, ["i.sptb"]])
+    def test_read_rejects_non_string_file_name(self, tmp_path, key, value):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(dict(self.ROW, **{key: value})) + "\n")
+        with pytest.raises(TomoFormatError, match=f":1:.*{key}"):
+            read_manifest(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("\n" + json.dumps(self.ROW, sort_keys=True) + "\n\n")

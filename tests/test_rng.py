@@ -1,7 +1,7 @@
 """Counter-based streams and the Poisson sampler.
 
 Distribution checks compare the empirical CDF against scipy.stats.poisson,
-an implementation the sampler shares no code with.
+an implementation numpy's sampler shares no code with.
 """
 
 import numpy as np
@@ -77,7 +77,8 @@ class TestSamplePoisson:
 
     @pytest.mark.parametrize("lam,seed", [(3.5, 101), (50.0, 102)])
     def test_distribution_matches_reference_cdf(self, lam, seed):
-        # covers both regimes: inversion below 10, rejection above
+        # covers both of numpy's regimes: multiplication below a rate of
+        # 10, transformed rejection (PTRS) above
         n = 20000
         draws = sample_poisson(np.full(n, lam), stream(seed))
         ks = np.arange(0, int(lam + 8 * np.sqrt(lam)) + 1)

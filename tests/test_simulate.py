@@ -3,23 +3,23 @@
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sinoquad import rng as rng_mod
+from sinoquad import simulate
 from sinoquad.geometry import Sinogram, fov_mask
 from sinoquad.io_formats import read_manifest, read_tomo
 from sinoquad.projector import project
 from sinoquad.simulate import (
     NOISE_LEVELS,
-    NoiseLevel,
     PhantomRecipe,
     ZeroMassError,
     apply_poisson,
     generate_phantom,
-    get_noise_level,
     make_dataset,
     shepp_logan,
     shepp_logan_analytic_mass,
@@ -113,24 +113,27 @@ class TestSheppLogan:
 
 class TestNoiseLevels:
     def test_count_budgets(self):
-        assert NOISE_LEVELS["low"].expected_counts == 1e6
-        assert NOISE_LEVELS["medium"].expected_counts == 2.5e5
-        assert NOISE_LEVELS["high"].expected_counts == 5e4
-
-    def test_lookup_accepts_instance_and_label(self):
-        assert get_noise_level("low") is NOISE_LEVELS["low"]
-        assert get_noise_level(NOISE_LEVELS["high"]) is NOISE_LEVELS["high"]
+        assert NOISE_LEVELS["low"][0] == 1e6
+        assert NOISE_LEVELS["medium"][0] == 2.5e5
+        assert NOISE_LEVELS["high"][0] == 5e4
 
     def test_unknown_label(self):
-        with pytest.raises(ValueError, match="unknown noise level"):
-            get_noise_level("extreme")
-
-    def test_custom_level_needs_a_known_label(self):
         sino = project(shepp_logan(16), 4)
-        with pytest.raises(ValueError, match=r"'ultra'.*\['high', 'low', 'medium'\]"):
-            apply_poisson(sino, NoiseLevel("ultra", 1e7), 0)
-        louder = apply_poisson(sino, NoiseLevel("low", 1e7), 0)
-        assert louder.data.shape == sino.data.shape
+        with pytest.raises(ValueError, match=r"unknown noise level 'extreme'.*\['high', 'low', 'medium'\]"):
+            apply_poisson(sino, "extreme", 0)
+
+    @pytest.mark.parametrize("level,counts,purpose", [
+        ("low", 1e6, rng_mod.PURPOSE_NOISE_LOW),
+        ("medium", 2.5e5, rng_mod.PURPOSE_NOISE_MEDIUM),
+        ("high", 5e4, rng_mod.PURPOSE_NOISE_HIGH),
+    ])
+    def test_draws_from_the_level_stream(self, level, counts, purpose):
+        # pins each label's (seed, index, purpose) stream key and count budget
+        sino = project(shepp_logan(32), 8)
+        scale = counts / float(np.sum(sino.data, dtype=np.float64))
+        counts = rng_mod.stream(7, 5, purpose).poisson(sino.data.astype(np.float64) * scale)
+        expect = (counts / scale).astype(np.float32)
+        np.testing.assert_array_equal(apply_poisson(sino, level, 7, 5).data, expect)
 
 
 class TestApplyPoisson:
@@ -174,7 +177,8 @@ class TestApplyPoisson:
 
     @pytest.mark.parametrize("lam", [0.8, 5.0, 40.0, 400.0])
     def test_sampler_moments(self, lam):
-        # covers both the inversion branch (lam < 10) and the rejection one
+        # covers both of numpy's regimes: multiplication below a rate of 10,
+        # transformed rejection above
         gen = rng_mod.stream(123, 0, rng_mod.PURPOSE_NOISE_LOW)
         n = 10_000
         draws = rng_mod.sample_poisson(np.full(n, lam), gen)
@@ -239,14 +243,58 @@ class TestMakeDataset:
         for name in names:
             assert file_digest(first / name) == file_digest(second / name), name
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
+    def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # two real workers, whatever the host reports
+        started = []
+
+        class RecordingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         recipe = PhantomRecipe(seed=19, size=64)
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"
         make_dataset(recipe, 4, "mixed", serial, jobs=1, in_views=8, out_views=32)
         make_dataset(recipe, 4, "mixed", parallel, jobs=3, in_views=8, out_views=32)
+        assert started == [2]
         for path in sorted(serial.iterdir()):
             assert file_digest(path) == file_digest(parallel / path.name), path.name
+
+    @pytest.mark.parametrize("jobs,count,cpus,workers", [
+        (100_000, 2, 64, 2),  # never more workers than items
+        (100_000, 50, 4, 4),  # nor than CPUs
+        (3, 50, 8, 3),
+        (8, 3, None, None),  # cpu_count() unknown: one CPU, run serially
+        (1, 50, 8, None),
+    ])
+    def test_worker_count_is_capped(self, tmp_path, monkeypatch, jobs, count, cpus, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "_dataset_item", lambda recipe, index, **kw: {
+            "index": index, "input": "i", "target": "t", "phantom": "p", "seed": 0, "noise": "low",
+        })
+        manifest = make_dataset(PhantomRecipe(size=16), count, "low", tmp_path, jobs=jobs,
+                                in_views=4, out_views=16)
+        assert started == ([] if workers is None else [workers])
+        assert [row["index"] for row in read_manifest(manifest)] == list(range(count))
 
     def test_manifest_is_json_lines_with_required_keys(self, tmp_path):
         recipe = PhantomRecipe(seed=1, size=64)

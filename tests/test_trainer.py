@@ -83,6 +83,8 @@ class TestTrainConfig:
         ({"split_fraction": 0.0}, "split_fraction"),
         ({"learning_rate": 0.0}, "learning_rate"),
         ({"base_channels": 0}, "base_channels"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
     ])
     def test_rejects_bad_fields(self, kwargs, hint):
         with pytest.raises(ValueError, match=hint):
