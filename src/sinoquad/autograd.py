@@ -8,9 +8,11 @@ Adam parameter update.
 
 Arrays are row-major numpy buffers. float32 is the working precision;
 float64 is supported end to end so gradients can be verified against
-central finite differences. Convolutions reduce over a fixed
-(channel, kernel-row, kernel-col) order, so single-threaded runs are
-bit-reproducible.
+central finite differences. A convolution is a sum of shifted GEMMs, one
+per kernel tap, over a zero-ringed channel-major copy of its input: taps
+are summed outer, in a fixed order, and channels inner, inside each GEMM;
+weight gradients sum fixed column tiles in order. Single-threaded runs are
+therefore bit-reproducible.
 """
 
 from __future__ import annotations
@@ -198,27 +200,63 @@ def _conv_op(out: np.ndarray, x: Tensor, weight: Tensor, bias: Optional[Tensor],
     return _from_op(out + bias.data[None, :, None, None], (x, weight, bias), backward)
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Unfold zero-padded ("same") k x k windows into a [C*k*k, B*H*W] matrix."""
-    b, c, h, w = x.shape
-    p = k // 2
-    if p:
-        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    # [B, C, H, W, k, k] -> [C, k, k, B, H, W] -> flat
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, b * h * w)
-    return np.ascontiguousarray(cols)
+def _grid(shape, k: int) -> tuple[int, list[int]]:
+    """Grid length of a _ringed [B,C,H,W] array and each k x k tap's column offset."""
+    b, _, h, wd = shape
+    row = wd + k - 1
+    return b * (h + k - 1) * row, [ky * row + kx for ky in range(k) for kx in range(k)]
 
 
-def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """"Same" cross-correlation of x [B,C_in,H,W] with w [C_out,C_in,k,k].
+def _ringed(x: np.ndarray, k: int) -> np.ndarray:
+    """Channel-major, zero-ringed, flat copy of x [B,C,H,W] for a k x k kernel.
 
-    One GEMM over the im2col columns of x; the output is [B,C_out,H,W].
+    With p = k // 2, pixel (b, i, j) of channel c sits at column
+    (b*(H+2p) + i + p)*(W+2p) + j + p. A zero tail as long as the largest
+    tap offset lets every tap's window run the full grid.
     """
-    b, _, h, wd = x.shape
-    c_out, k = w.shape[0], w.shape[2]
-    out = w.reshape(c_out, -1) @ _im2col(x, k)  # reduction over (channel, k-row, k-col), fixed order
-    return np.ascontiguousarray(out.reshape(c_out, b, h, wd).transpose(1, 0, 2, 3))
+    b, c, h, wd = x.shape
+    p = k // 2
+    grid, offsets = _grid(x.shape, k)
+    xf = np.zeros((c, grid + offsets[-1]), dtype=x.dtype)
+    xf[:, :grid].reshape(c, b, h + 2 * p, -1)[:, :, p : p + h, p : p + wd] = x.transpose(1, 0, 2, 3)
+    return xf
+
+
+# Grid columns are visited in tiles of this many bytes over the rows in use,
+# so that each tap's shifted product re-reads the input from cache.
+_TILE_BYTES = 1 << 19
+
+
+def _tile_columns(rows: int, itemsize: int) -> int:
+    return max(1, _TILE_BYTES // (rows * itemsize))
+
+
+def _correlate(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
+    """"Same" cross-correlation of a _ringed input with w [C_out,C_in,k,k].
+
+    shape is the input's [B,C_in,H,W]; the output is [B,C_out,H,W]. Tap
+    (ky, kx) is one GEMM over the input shifted by ky*(W+2p) + kx columns;
+    the ring columns of the grid are computed and dropped.
+    """
+    b, _, h, wd = shape
+    c_out, c_in, k, _ = w.shape
+    grid, offsets = _grid(shape, k)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
+    # a GEMM with K = 1 is several times slower in OpenBLAS than a broadcast multiply
+    product = np.multiply if c_in == 1 else np.matmul
+    dtype = np.result_type(xf, w)
+    n = _tile_columns(c_in + 2 * c_out, dtype.itemsize)
+    out = np.empty((c_out, grid), dtype=dtype)
+    term = np.empty((c_out, min(n, grid)), dtype=dtype)
+    for c0 in range(0, grid, n):
+        acc = out[:, c0 : c0 + n]
+        m = acc.shape[1]
+        product(taps[0], xf[:, c0 : c0 + m], out=acc)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            product(tap, xf[:, c0 + off : c0 + off + m], out=term[:, :m])
+            acc += term[:, :m]
+    out = out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -229,7 +267,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """
     x = _require_4d(x, "input", "conv2d")
     weight = _require_4d(weight, "weight", "conv2d")
-    b, c_in, h, w = x.shape
+    c_in = x.shape[1]
     c_out, wc_in, kh, kw = weight.shape
     if wc_in != c_in:
         raise ShapeMismatchError(
@@ -242,16 +280,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     def grads(g: np.ndarray):
         gx = gw = None
+        gf = _ringed(g, kh)  # one copy serves both products
         if x.requires_grad:
             # full correlation with the flipped kernel, channels swapped
-            gx = _correlate(g, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            gx = _correlate(gf, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], g.shape)
         if weight.requires_grad:
-            cols = _im2col(x.data, kh)  # recomputed: keeping the forward's costs ~75 MB a layer
-            gflat = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(c_out, b * h * w)
-            gw = (gflat @ cols.T).reshape(c_out, c_in, kh, kw)
+            # g's pixel at column q + offsets[centre] meets tap t of x at q + offsets[t];
+            # the zero ring of gf masks every q that is not an output pixel
+            grid, offsets = _grid(g.shape, kh)
+            gs = gf[:, offsets[len(offsets) // 2] :]
+            xf = _ringed(x.data, kh)  # rebuilt: keeping the forward's costs a copy of x a layer
+            taps = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
+            n = _tile_columns(c_in + c_out, g.itemsize)
+            for c0 in range(0, grid, n):
+                gt = gs[:, c0 : min(c0 + n, grid)]
+                for t, off in enumerate(offsets):
+                    taps[t] += gt @ xf[:, c0 + off : c0 + off + gt.shape[1]].T
+            gw = np.ascontiguousarray(taps.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
         return gx, gw
 
-    return _conv_op(_correlate(x.data, weight.data), x, weight, bias, grads)
+    return _conv_op(_correlate(_ringed(x.data, kh), weight.data, x.shape), x, weight, bias, grads)
 
 
 # ---------------------------------------------------------------------------

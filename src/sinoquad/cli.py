@@ -313,7 +313,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dataset", help="generate a training dataset + manifest")
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--noise", default="mixed")
+    p.add_argument("--noise", choices=sorted(NOISE_LEVELS) + ["mixed"], default="mixed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=128)
     p.add_argument("--in-views", type=int, default=32)

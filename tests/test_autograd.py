@@ -84,6 +84,59 @@ class TestConv2d:
         ref = conv2d_same(x, w, b)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    # (B, C_in, C_out, H, W, k): single channels, one image, one-pixel rows and columns
+    EDGE_SHAPES = [
+        (2, 1, 3, 4, 5, 1), (2, 1, 3, 4, 5, 3), (2, 3, 1, 4, 5, 1), (2, 3, 1, 4, 5, 3),
+        (1, 2, 3, 4, 5, 3), (2, 2, 3, 1, 6, 3), (2, 2, 3, 6, 1, 3), (1, 1, 1, 1, 1, 3),
+        (2, 2, 2, 3, 2, 5),
+    ]
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: "b{}c{}o{}h{}w{}k{}".format(*s))
+    @pytest.mark.parametrize("tile_bytes", [None, 512], ids=["one-tile", "many-tiles"])
+    def test_edge_shapes_match_oracle_and_gradients(self, rng, monkeypatch, shape, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(ag, "_TILE_BYTES", tile_bytes)
+        b, c_in, c_out, h, wd, k = shape
+        x, w, bias = rand64(rng, b, c_in, h, wd), rand64(rng, c_out, c_in, k, k), rand64(rng, c_out)
+        ref = conv2d_same(x.data, w.data, bias.data)
+        got = conv2d(x, w, bias).data
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        target = Tensor(np.zeros(ref.shape))
+        assert gradient_check(lambda: mse_loss(conv2d(x, w, bias), target), [x, w, bias]) <= 1e-4
+
+    @pytest.mark.parametrize("view", ["channel-slice", "transposed"])
+    def test_non_contiguous_input(self, rng, view):
+        full = rng.standard_normal((2, 4, 5, 6))
+        data = full[:, 1:3] if view == "channel-slice" else full[:, :2].transpose(0, 1, 3, 2)
+        assert not data.flags.c_contiguous
+        w = rng.standard_normal((3, 2, 3, 3))
+        results = []
+        for arr in (data, np.ascontiguousarray(data)):
+            x, wt = Tensor(arr, requires_grad=True), Tensor(w.copy(), requires_grad=True)
+            out = conv2d(x, wt)
+            mse_loss(out, Tensor(np.zeros(out.shape))).backward()
+            results.append((out.data, x.grad, wt.grad))
+        ref = conv2d_same(np.ascontiguousarray(data), w)
+        assert np.abs(results[0][0] - ref).max() <= 1e-12 * np.abs(ref).max()
+        for got, want in zip(results[0], results[1]):
+            np.testing.assert_array_equal(got, want)
+
+    def test_float32_within_1e5_of_float64(self, rng):
+        x = rng.standard_normal((2, 8, 9, 17)).astype(np.float32)
+        w = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        g = rng.standard_normal((2, 8, 9, 17)).astype(np.float32)
+        results = {}
+        for dtype in (np.float32, np.float64):
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            wt = Tensor(w.astype(dtype), requires_grad=True)
+            out = conv2d(xt, wt)
+            out.backward(g.astype(dtype))
+            assert out.dtype == xt.grad.dtype == wt.grad.dtype == dtype
+            results[dtype] = (out.data, xt.grad, wt.grad)
+        for lo, hi in zip(results[np.float32], results[np.float64]):
+            assert np.abs(lo - hi).max() <= 1e-5 * np.abs(hi).max()
+
     def test_inputs_not_mutated(self, rng):
         x = rand64(rng, 1, 2, 4, 4)
         w = rand64(rng, 3, 2, 3, 3)

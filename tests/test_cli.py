@@ -58,6 +58,12 @@ class TestExitCodes:
     def test_bad_choice(self, capsys):
         assert main(["phantom", "cube"]) == 1
 
+    def test_unknown_dataset_noise_is_usage_error(self, tmp_path, capsys):
+        assert main(["dataset", "--count", "1", "--noise", "loud", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "loud" in err
+        assert not (tmp_path / "manifest.jsonl").exists()
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "phantom" in capsys.readouterr().out

@@ -170,6 +170,23 @@ class TestForwardSemantics:
             assert p.grad is not None and np.any(p.grad != 0), p.name
 
 
+    def test_same_seed_training_steps_are_byte_identical(self):
+        rng = np.random.default_rng(8)
+        x = rng.random((2, 1, 16, 64), dtype=np.float32)
+        target = rng.random((2, 1, 64, 64), dtype=np.float32)
+        runs = []
+        for _ in range(2):
+            model = UNet(UNetConfig(base_channels=2), seed=5)
+            preds = []
+            for _ in range(3):
+                out = model.forward(x, training=True)
+                ag.mse_loss(out, ag.Tensor(target)).backward()
+                ag.adam_step(model.parameters(), lr=1e-3)
+                preds.append(out.data.tobytes())
+            runs.append((preds, [p.data.tobytes() for p in model.parameters()]))
+        assert runs[0] == runs[1]
+
+
 class TestCheckpoint:
     def small_model(self, seed=7):
         return UNet(UNetConfig(base_channels=2), seed=seed)
