@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from .geometry import Image, Sinogram
-from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, write_atomic, write_tomo
+from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, read_tomo_as
+from .io_formats import write_atomic, write_tomo
 from .metrics import MetricsReport, format_table
 from .osem import ReconConfig, osem
 from .simulate import (
@@ -57,20 +58,6 @@ def _default_path(name: str) -> Path:
     return _data_dir() / name
 
 
-def _read_sinogram(path) -> Sinogram:
-    obj = read_tomo(path)
-    if not isinstance(obj, Sinogram):
-        raise ValueError(f"{path} holds an image, expected a sinogram")
-    return obj
-
-
-def _read_image(path) -> Image:
-    obj = read_tomo(path)
-    if not isinstance(obj, Image):
-        raise ValueError(f"{path} holds a sinogram, expected an image")
-    return obj
-
-
 def cmd_phantom(args) -> int:
     if args.kind == "shepp-logan":
         image = shepp_logan(args.size)
@@ -84,7 +71,7 @@ def cmd_phantom(args) -> int:
 def cmd_project(args) -> int:
     from .projector import project
 
-    image = _read_image(getattr(args, "in"))
+    image = read_tomo_as(getattr(args, "in"), Image)
     sino = project(
         image, args.angles, start_angle_deg=args.start, angular_range_deg=args.range
     )
@@ -94,7 +81,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    sino = _read_sinogram(getattr(args, "in"))
+    sino = read_tomo_as(getattr(args, "in"), Sinogram)
     noisy = apply_poisson(sino, args.level, args.seed, args.index)
     write_tomo(args.out, noisy)
     print(f"wrote {args.out}")
@@ -135,7 +122,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     model = load_checkpoint(args.model)
-    sino = _read_sinogram(getattr(args, "in"))
+    sino = read_tomo_as(getattr(args, "in"), Sinogram)
     out = dataclasses.replace(sino, data=model_predictor(model)(sino.data))
     write_tomo(args.out, out)
     print(f"wrote {args.out}")
@@ -143,7 +130,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_recon(args) -> int:
-    sino = _read_sinogram(getattr(args, "in"))
+    sino = read_tomo_as(getattr(args, "in"), Sinogram)
     cfg = ReconConfig(
         n_subsets=args.subsets, n_iterations=args.iters, image_size=args.size
     )

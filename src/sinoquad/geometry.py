@@ -95,9 +95,6 @@ class Sinogram:
     def n_bins(self) -> int:
         return self.data.shape[1]
 
-    def angles_deg(self) -> np.ndarray:
-        return view_angles_deg(self.n_angles, self.start_angle_deg, self.angular_range_deg)
-
 
 def fov_radius(width: int) -> float:
     """Radius in pixels of the circular field of view for a given grid width."""

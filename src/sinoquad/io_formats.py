@@ -41,6 +41,7 @@ __all__ = [
     "write_atomic",
     "write_tomo",
     "read_tomo",
+    "read_tomo_as",
     "import_raw",
     "export_pgm",
     "write_manifest",
@@ -177,6 +178,18 @@ def read_tomo(path):
         raise TomoFormatError(f"{path}: {exc} (geometry at offset {12 + 4 * ndim})") from None
     except ValueError as exc:  # non-finite or negative samples
         raise TomoFormatError(f"{path}: {exc} (payload at offset {header_len})") from None
+
+
+_KIND_NAMES = {Image: "an image", Sinogram: "a sinogram"}
+
+
+def read_tomo_as(path, kind: type):
+    """Read an SPTB file that must hold `kind`, Image or Sinogram."""
+    obj = read_tomo(path)
+    if not isinstance(obj, kind):
+        got, want = _KIND_NAMES[type(obj)], _KIND_NAMES[kind]
+        raise TomoFormatError(f"{path}: holds {got}, expected {want}")
+    return obj
 
 
 def import_raw(

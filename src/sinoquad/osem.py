@@ -5,11 +5,9 @@ Multiplicative updates with a matched forward/adjoint projector pair:
     x_j <- x_j / (sum_{i in S} a_ij) * sum_{i in S} a_ij * y_i / (Ax)_i
 
 Subsets interleave view angles (subset k takes views k, k+n_subsets, ...)
-in a fixed order, so reconstructions are reproducible. A projector that
-stores one half-turn serves both views of an opposite pair from one row
-block: their data are folded onto it (summed, the second bin-reversed),
-which gives the same update as the stacked operator, and the block's
-sensitivity counts once per view that reads it. The start image is
+in a fixed order, so reconstructions are reproducible. Each subset's
+forward and adjoint come from the projector's `subset_operators`, and its
+sensitivity is the adjoint of a sinogram of ones. The start image is
 uniform 1.0 inside the field of view and 0 outside; pixels with zero
 subset sensitivity are pinned to 0. Where a forward-projected bin is 0
 the data ratio is set to 0 (with noiseless-consistent data this only
@@ -76,18 +74,17 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
     subsets = []
     for k in range(cfg.n_subsets):
         views = np.arange(k, sino.n_angles, cfg.n_subsets)
-        stored, y_k, reads = proj.fold(views, y[views])
-        a, a_adj = proj.subset_operators(stored)
-        sens = a_adj @ proj.rows_from_views(np.repeat(reads, sino.n_bins).astype(np.float64))
+        a, a_t = proj.subset_operators(views)
+        sens = a_t @ np.ones(views.size * sino.n_bins)
         inv_sens = np.divide(1.0, sens, out=np.zeros_like(sens), where=sens > 0)
-        subsets.append((a, a_adj, inv_sens, y_k))
+        subsets.append((a, a_t, inv_sens, y[views].ravel()))
 
     x = fov_mask(size, size).astype(np.float64).ravel()
     for it in range(cfg.n_iterations):
-        for a, a_adj, inv_sens, y_k in subsets:
-            fp = proj.views_from_rows(a @ x)
+        for a, a_t, inv_sens, y_k in subsets:
+            fp = a @ x
             ratio = np.divide(y_k, fp, out=np.zeros_like(fp), where=fp > _RATIO_EPS)
-            x = x * (a_adj @ proj.rows_from_views(ratio)) * inv_sens
+            x = x * (a_t @ ratio) * inv_sens
         if callback is not None:
             callback(it, x.reshape(size, size).copy())
 
@@ -106,9 +103,9 @@ def log_likelihood(sino: Sinogram, image: Image) -> float:
 
     Bins with Ax == 0 contribute -inf when y > 0 and 0 when y == 0.
     """
-    y = np.asarray(sino.data, dtype=np.float64)
-    proj = _projector(sino, image.height, image.width)
-    fp = proj.forward(image.data) * sino.bin_width
+    y = np.asarray(sino.data, dtype=np.float64).ravel()
+    a, _ = _projector(sino, image.height, image.width).subset_operators(np.arange(sino.n_angles))
+    fp = (a @ np.asarray(image.data, dtype=np.float64).ravel()) * sino.bin_width
     if np.any((fp <= 0) & (y > 0)):
         return float("-inf")
     pos = fp > 0

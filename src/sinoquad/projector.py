@@ -18,10 +18,9 @@ makes the adjoint exact by construction (the transpose view, never a copy).
 
 In parallel beam the view at theta + 180 degrees is the view at theta with
 its bins reversed. So a projector over a full 360-degree turn with an even
-view count stores only the first half-turn's views: `forward` appends their
-bin-reversed copies, `adjoint` folds the second half-turn onto the first,
-and `fold` does the same for any set of views. Every other geometry stores
-all of its views.
+view count stores only the first half-turn's views, and a view of the
+second half-turn reads its stored partner's bins in reverse. Every other
+geometry stores all of its views.
 
 Raw bilinear ray sampling gives a per-pixel detector sensitivity (column
 sum) that wobbles by a few percent at diagonal angles, which would leak
@@ -38,13 +37,17 @@ of exactly 1, so per-view mass conservation holds to float round-off and
 all matrix entries stay nonnegative.
 
 The window is the same fixed binomial filter C for every pixel, so the
-matrix stores it once per pixel, not once per tap: each view has n_bins
-core rows (the scaled ray sampling) and n_bins centre rows holding each
-pixel's deficit at its centre bin, and a view's projection is
-core + C(centre), with C applied along the detector axis after the matrix
-product (`views_from_rows`; the adjoint's `rows_from_views` is its
-transpose). A pixel whose window the detector edge clips keeps its
+matrix stores it once per pixel, not once per tap: each stored view has
+n_bins core rows (the scaled ray sampling) and n_bins centre rows holding
+each pixel's deficit at its centre bin, and a view's projection is
+core + C(centre). A pixel whose window the detector edge clips keeps its
 renormalised top-up taps as explicit entries in the core rows instead.
+
+What the detector reads from the stored rows, the half-turn fold and the
+filter C together, is one fixed sparse matrix D per geometry, built once
+and cached: `forward` is D @ (matrix @ x), `adjoint` is
+matrix.T @ (D.T @ s), and `subset_operators` gives the same pair for any
+set of views, so callers never see the stored layout.
 """
 
 from __future__ import annotations
@@ -66,22 +69,47 @@ _TAPER /= _TAPER.sum()  # taps k/64: a whole window sums to exactly 1.0
 
 
 @lru_cache(maxsize=8)
-def _filter_matrix(n_bins: int) -> sp.csr_matrix:
-    """The binomial filter C along a detector: row b holds _TAPER[k] at bin b + k - half."""
-    taps = np.flatnonzero(np.abs(np.arange(_TAPER.size) - _BALANCE_ORDER // 2) < n_bins)
-    c = sp.diags(list(_TAPER[taps]), taps - _BALANCE_ORDER // 2, shape=(n_bins, n_bins)).tocsr()
-    c.sort_indices()
-    return c
+def _detector_matrix(n_angles: int, n_stored: int, n_bins: int) -> sp.csr_matrix:
+    """D: what each view's bins read from the stored rows, [n_angles * n_bins, matrix rows].
 
-
-def _spread(bins: np.ndarray) -> np.ndarray:
-    """C along the last (detector) axis of [views, n_bins], zero past its edges.
-
-    A CSR product sums each row in column order, so bin b sums
-    _TAPER[k] * bins[b + k - half] in tap order k = 0, 1, ... C is
-    symmetric, so this is also its transpose.
+    View v reads stored view v % n_stored, with its bins reversed when v is
+    past the stored half-turn. Row (v, b) holds the filter C's taps on that
+    view's centre rows around the bin b reads, in tap order k = 0, 1, ...
+    (zero past the detector edges), then 1.0 on its core row. A CSR product
+    sums each row in column order, so bin b is core + C(centre) of the
+    stored view's bins.
     """
-    return (_filter_matrix(bins.shape[-1]) @ bins.T).T
+    views = np.arange(n_angles)
+    bins = np.arange(n_bins)
+    read = np.where((views >= n_stored)[:, None], bins[::-1], bins)  # [views, bins]
+    first = (views % n_stored * 2 * n_bins)[:, None, None]  # the view's first stored row
+    taps = read[..., None] + np.arange(_TAPER.size) - _BALANCE_ORDER // 2
+    cols = np.concatenate([first + n_bins + taps, first + read[..., None]], axis=-1)
+    vals = np.broadcast_to(np.append(_TAPER, 1.0), cols.shape)
+    keep = np.concatenate([(taps >= 0) & (taps < n_bins), np.ones_like(taps[..., :1], bool)], -1)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=-1).ravel())])
+    shape = (n_angles * n_bins, n_stored * 2 * n_bins)
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
+
+
+class _Product:
+    """The operator outer @ inner of two sparse matrices; .T is its transpose view."""
+
+    def __init__(self, outer, inner):
+        self.factors = (outer, inner)
+
+    def __matmul__(self, vec):
+        outer, inner = self.factors
+        return outer @ (inner @ vec)
+
+    @property
+    def T(self):
+        outer, inner = self.factors
+        return _Product(inner.T, outer.T)
+
+    @property
+    def nnz(self) -> int:
+        return sum(f.nnz for f in self.factors)
 
 
 def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int) -> sp.csr_matrix:
@@ -207,21 +235,9 @@ class ParallelProjector:
         """Views the matrix holds: the first half-turn's when folded, else all."""
         return self.matrix.shape[0] // (2 * self.n_bins)
 
-    def views_from_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Stored views' bins [views, n_bins] from a product of their matrix rows.
-
-        Each view's bins are its core rows plus the filter C of its centre rows.
-        """
-        rows = np.reshape(rows, (-1, 2, self.n_bins))
-        return rows[:, 0] + _spread(rows[:, 1])
-
-    def rows_from_views(self, views: np.ndarray) -> np.ndarray:
-        """Transpose of views_from_rows: the matrix-row vector of views' bins.
-
-        C is symmetric, so each view's centre rows read C of its bins.
-        """
-        views = np.reshape(views, (-1, self.n_bins))
-        return np.stack([views, _spread(views)], axis=1).ravel()
+    @property
+    def _detector(self) -> sp.csr_matrix:
+        return _detector_matrix(self.n_angles, self._stored_views, self.n_bins)
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         img = np.asarray(image, dtype=np.float64)
@@ -229,11 +245,8 @@ class ParallelProjector:
             raise ValueError(
                 f"image shape {img.shape} does not match projector {(self.height, self.width)}"
             )
-        half = self._stored_views
-        out = self.views_from_rows(self.matrix @ img.ravel())
-        if half != self.n_angles:
-            out = np.concatenate([out, out[:, ::-1]])
-        return out
+        out = self._detector @ (self.matrix @ img.ravel())
+        return out.reshape(self.n_angles, self.n_bins)
 
     def adjoint(self, sinogram: np.ndarray) -> np.ndarray:
         sino = np.asarray(sinogram, dtype=np.float64)
@@ -242,44 +255,28 @@ class ParallelProjector:
                 f"sinogram shape {sino.shape} does not match projector "
                 f"{(self.n_angles, self.n_bins)}"
             )
-        half = self._stored_views
-        if half != self.n_angles:
-            sino = sino[:half] + sino[half:, ::-1]
-        out = self.matrix.T @ self.rows_from_views(sino)
+        out = self.matrix.T @ (self._detector.T @ sino.ravel())
         return out.reshape(self.height, self.width)
 
-    def fold(self, angle_indices, rows: np.ndarray):
-        """Fold the rows of some views onto the stored views they read.
+    def subset_operators(self, views):
+        """(forward, adjoint) operators restricted to some views.
 
-        A view past the stored half-turn reads stored view `v - n_angles // 2`
-        with its bins reversed. Returns the stored views (sorted), their data
-        [len(stored), n_bins] with the reversed rows added in, and how many of
-        the given views read each stored view.
+        The forward maps an image to those views' bins, concatenated in the
+        given order, exactly as `forward` computes them; the adjoint is its
+        transpose view, sharing the same arrays. Each is the product of the
+        views' rows of the detector matrix and the stored rows they read.
         """
-        idx = np.asarray(angle_indices, dtype=np.int64)
+        idx = np.asarray(views, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_angles):
             raise ValueError(f"view indices out of range [0, {self.n_angles})")
-        rows = np.asarray(rows, dtype=np.float64).reshape(idx.size, self.n_bins)
-        second = idx >= self._stored_views
-        stored, inverse, counts = np.unique(
-            idx % self._stored_views, return_inverse=True, return_counts=True
-        )
-        out = np.zeros((stored.size, self.n_bins))
-        np.add.at(out, inverse, np.where(second[:, None], rows[:, ::-1], rows))
-        return stored, out, counts
-
-    def subset_operators(self, stored_views):
-        """(forward, adjoint) sparse matrices restricted to some stored views.
-
-        Their products go through views_from_rows and rows_from_views like the
-        full matrix's. The adjoint is a transpose view sharing the forward
-        matrix's arrays."""
-        idx = np.asarray(stored_views, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self._stored_views):
-            raise ValueError(f"stored view indices out of range [0, {self._stored_views})")
-        per_view = 2 * self.n_bins
-        a = self.matrix[(idx[:, None] * per_view + np.arange(per_view)).ravel()]
-        return a, a.T
+        n, per_view = self.n_bins, 2 * self.n_bins
+        stored = np.unique(idx % self._stored_views)
+        rows = (stored[:, None] * per_view + np.arange(per_view)).ravel()
+        # fancy indexing keeps each row's entries in order, so bins sum as in forward
+        d = self._detector[(idx[:, None] * n + np.arange(n)).ravel()][:, rows]
+        a = self.matrix if stored.size == self._stored_views else self.matrix[rows]
+        forward = _Product(d, a)
+        return forward, forward.T
 
 
 _cached = lru_cache(maxsize=8)(ParallelProjector)

@@ -199,13 +199,6 @@ def shepp_logan(size: int = 128, _table=None) -> Image:
     return Image((data / peak).astype(np.float32))
 
 
-def shepp_logan_analytic_mass(size: int = 128) -> float:
-    """Sum over pixels implied by the ellipse areas (for verification)."""
-    scale = size / 2.0
-    total = sum(val * np.pi * (a * scale) * (b * scale) for val, a, b, _, _, _ in _SHEPP_LOGAN)
-    return float(total / 2.0)  # rendering is max-normalised; the peak value is 2.0
-
-
 def apply_poisson(sino: Sinogram, level: str, seed: int, index: int = 0) -> Sinogram:
     """Simulate photon counting at a noise level's count budget.
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .geometry import Image, Sinogram
-from .io_formats import read_manifest, read_tomo, write_atomic
+from .io_formats import read_manifest, read_tomo_as, write_atomic
 from .metrics import MetricsReport
 from .osem import ReconConfig, osem
 from .rng import PURPOSE_SHUFFLE, PURPOSE_SPLIT, stream
@@ -122,8 +122,11 @@ def _load_pairs(cfg: TrainConfig):
     root = Path(cfg.manifest).parent
     inputs, targets = [], []
     for row in rows:
-        inputs.append(read_tomo(root / row["input"]).data)
-        targets.append(read_tomo(root / row["target"]).data)
+        path = root / row["input"]
+        inputs.append(read_tomo_as(path, Sinogram).data)
+        if not inputs[-1].max() > 0.0:  # the rule normalize applies at inference
+            raise ValueError(f"{path}: cannot normalize an all-zero sinogram")
+        targets.append(read_tomo_as(root / row["target"], Sinogram).data)
     in_shape = inputs[0].shape
     out_shape = targets[0].shape
     if any(a.shape != in_shape for a in inputs) or any(
@@ -144,8 +147,7 @@ def _split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.n
 
 
 def _normalized_batch(inputs, targets, idx):
-    scales = inputs[idx].reshape(len(idx), -1).max(axis=1)
-    scales = np.maximum(scales, np.float32(1e-12))[:, None, None]
+    scales = inputs[idx].reshape(len(idx), -1).max(axis=1)[:, None, None]
     x = (inputs[idx] / scales)[:, None]
     y = (targets[idx] / scales)[:, None]
     return x.astype(np.float32), y.astype(np.float32)
@@ -327,11 +329,11 @@ def evaluate(
     meta = {"noise": noise or "all"}
     results = []
     for row in rows:
-        phantom = read_tomo(root / row["phantom"]) if include_recon else None
+        phantom = read_tomo_as(root / row["phantom"], Image) if include_recon else None
         _, result, _ = compare(
             predict,
-            read_tomo(root / row["input"]),
-            read_tomo(root / row["target"]),
+            read_tomo_as(root / row["input"], Sinogram),
+            read_tomo_as(root / row["target"], Sinogram),
             phantom,
             recon_config,
         )

@@ -128,10 +128,6 @@ class UNet:
     def parameters(self) -> list[ag.Parameter]:
         return list(self.params.values())
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def _pair(self, tag):
         return self.params[f"{tag}_w"].tensor, self.params[f"{tag}_b"].tensor
 

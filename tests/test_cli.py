@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -306,6 +307,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "learning_rate" in err
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("kind", ["image", "all-zero"])
+    def test_bad_input_sinograms_are_data_errors(self, workspace, tmp_path, capsys, kind):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        for row in read_manifest(data / "manifest.jsonl"):
+            sino = read_tomo(data / row["input"])
+            bad = Image(sino.data) if kind == "image" else Sinogram(np.zeros_like(sino.data))
+            write_tomo(data / row["input"], bad)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"manifest = {data / 'manifest.jsonl'}\nbase_channels = 2\n"
+                       f"checkpoint_path = {tmp_path / 'm.sptc'}\nhistory_path = {tmp_path / 'h.json'}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "input_" in err
+        assert ("expected a sinogram" if kind == "image" else "all-zero") in err
+        assert not (tmp_path / "m.sptc").exists()
 
     @pytest.mark.parametrize("line", [
         "5",

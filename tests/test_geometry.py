@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sinoquad.geometry import FOV_FRACTION, Image, Sinogram, fov_mask, fov_radius
+from sinoquad.geometry import FOV_FRACTION, Image, Sinogram, fov_mask, fov_radius, view_angles_deg
 
 
 class TestValidation:
@@ -59,18 +59,22 @@ class TestValidation:
             Sinogram(np.zeros((2, 2)), **kwargs)
 
 
+def angles_of(sino):
+    return view_angles_deg(sino.n_angles, sino.start_angle_deg, sino.angular_range_deg)
+
+
 class TestSinogramAngles:
     def test_default_full_circle(self):
         sino = Sinogram(np.zeros((4, 3)))
-        np.testing.assert_allclose(sino.angles_deg(), [0.0, 90.0, 180.0, 270.0])
+        np.testing.assert_allclose(angles_of(sino), [0.0, 90.0, 180.0, 270.0])
 
     def test_offset_half_circle(self):
         sino = Sinogram(np.zeros((2, 3)), start_angle_deg=10.0, angular_range_deg=180.0)
-        np.testing.assert_allclose(sino.angles_deg(), [10.0, 100.0])
+        np.testing.assert_allclose(angles_of(sino), [10.0, 100.0])
 
     def test_endpoint_excluded(self):
         sino = Sinogram(np.zeros((8, 3)))
-        assert sino.angles_deg().max() < 360.0
+        assert angles_of(sino).max() < 360.0
 
     def test_properties(self):
         sino = Sinogram(np.zeros((4, 3)))

@@ -190,7 +190,9 @@ class TestGeometry:
         assert sino.start_angle_deg == 0.0
         assert sino.angular_range_deg == 360.0
         assert sino.bin_width == 1.0
-        np.testing.assert_allclose(sino.angles_deg(), np.arange(8) * 45.0)
+        np.testing.assert_allclose(
+            view_angles_deg(8, sino.start_angle_deg, sino.angular_range_deg), np.arange(8) * 45.0
+        )
 
 
 class TestStoredLayout:
@@ -241,44 +243,41 @@ class TestAdjointAndSubsets:
         assert [name for name, v in vars(proj).items() if sp.issparse(v)] == ["matrix"]
         assert set(vars(proj)) == {"height", "width", "n_bins", "n_angles", "matrix"}
 
-    def test_subset_rows_match_full_matrix(self):
-        proj = get_projector(64, 64, 16)
+    @pytest.mark.parametrize("args,subsets", [
+        # views from both half-turns, an opposite pair, one second-half view, all views
+        pytest.param((64, 64, 16), [[1, 5, 9, 13], [3, 11], [12], list(range(16))], id="folded-16"),
+        pytest.param((64, 64, 9), [[2, 5, 8], [7], list(range(9))], id="unfolded-9"),
+        pytest.param((64, 64, 16, 15.0, 180.0), [[0, 4, 8, 12], [15]], id="half-turn-16"),
+    ])
+    def test_subset_operators_contract(self, args, subsets):
+        proj = get_projector(*args)
         full = stacked_operator(proj)
-        idx = [1, 5, 9, 13]
-        rows = np.random.default_rng(13).random((4, 64))
-        stored, folded, reads = proj.fold(idx, rows)
-        np.testing.assert_array_equal(stored, [1, 5])
-        np.testing.assert_array_equal(reads, [2, 2])
-        a_sub, a_sub_t = proj.subset_operators(stored)
-        img = np.random.default_rng(11).random((64, 64))
-        np.testing.assert_array_equal(
-            proj.views_from_rows(a_sub @ img.ravel()), proj.forward(img)[stored]
-        )
-        # the folded data back-project as the stacked operator's rows of every view
-        full_sub = full[(np.array(idx)[:, None] * 64 + np.arange(64)).ravel()]
-        np.testing.assert_allclose(
-            a_sub_t @ proj.rows_from_views(folded), full_sub.T @ rows.ravel(), rtol=1e-12
-        )
-        assert (a_sub_t != a_sub.T).nnz == 0
-        assert np.shares_memory(a_sub_t.data, a_sub.data)  # a view, not a copy
-        # the view's matvec sums in the same order as a transposed copy's
-        r = np.random.default_rng(12).random(2 * 2 * 64)
-        np.testing.assert_array_equal(a_sub_t @ r, a_sub.T.tocsr() @ r)
-
-    def test_fold_leaves_unfolded_views_alone(self):
-        proj = get_projector(64, 64, 9)
-        rows = np.random.default_rng(14).random((3, 64))
-        stored, folded, reads = proj.fold([2, 5, 8], rows)
-        np.testing.assert_array_equal(stored, [2, 5, 8])
-        np.testing.assert_array_equal(folded, rows)
-        np.testing.assert_array_equal(reads, [1, 1, 1])
+        n = proj.n_bins
+        rng = np.random.default_rng(13)
+        img = rng.random((64, 64))
+        for views in subsets:
+            a, a_t = proj.subset_operators(views)
+            # the views' bins exactly as forward computes them, in the given order
+            np.testing.assert_array_equal(a @ img.ravel(), proj.forward(img)[views].ravel())
+            y = rng.standard_normal(len(views) * n)
+            lhs, rhs = float((a @ img.ravel()) @ y), float(img.ravel() @ (a_t @ y))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            # the adjoint back-projects as the stacked operator's rows of those views
+            rows = full[(np.array(views)[:, None] * n + np.arange(n)).ravel()]
+            np.testing.assert_allclose(a_t @ y, rows.T @ y, rtol=1e-12, atol=1e-12)
+            # the transpose views sum in the same order as transposed copies
+            d, m = a.factors
+            np.testing.assert_array_equal(a_t @ y, m.T.tocsr() @ (d.T.tocsr() @ y))
+            # a transpose view of the same arrays, not a copy
+            for f, g in zip(a.factors, reversed(a_t.factors)):
+                assert np.shares_memory(f.data, g.data) and np.shares_memory(f.indices, g.indices)
+            assert a.nnz == a_t.nnz == sum(f.nnz for f in a.factors)
 
     def test_subset_operators_bounds(self):
         proj = get_projector(64, 64, 16)
-        with pytest.raises(ValueError, match="out of range"):
-            proj.subset_operators([8])  # view 8 is stored as view 0, reversed
-        with pytest.raises(ValueError, match="out of range"):
-            proj.fold([16], np.zeros((1, 64)))
+        for views in ([16], [-1], [0, 16]):
+            with pytest.raises(ValueError, match="out of range"):
+                proj.subset_operators(views)
 
     @pytest.mark.parametrize(
         "shape,n_angles,bad",

@@ -70,12 +70,13 @@ class TestParameterLedger:
     def test_default_count_frozen_value(self):
         assert layer_arithmetic(32, 512) == 7_804_769
         model = UNet(UNetConfig())
-        assert model.n_parameters == 7_804_769
+        assert sum(p.data.size for p in model.params.values()) == 7_804_769
 
     @pytest.mark.parametrize("base", [1, 2, 8])
     def test_count_matches_arithmetic_for_other_widths(self, base):
         cfg = UNetConfig(base_channels=base)
-        assert UNet(cfg).n_parameters == layer_arithmetic(base, 16 * base)
+        params = UNet(cfg).params.values()
+        assert sum(p.data.size for p in params) == layer_arithmetic(base, 16 * base)
 
     def test_biases_start_at_zero_weights_bounded(self):
         model = UNet(UNetConfig(base_channels=4), seed=3)
