@@ -8,11 +8,26 @@ Adam parameter update.
 
 Arrays are row-major numpy buffers. float32 is the working precision;
 float64 is supported end to end so gradients can be verified against
-central finite differences. A convolution is a sum of shifted GEMMs, one
-per kernel tap, over a zero-ringed channel-major copy of its input: taps
-are summed outer, in a fixed order, and channels inner, inside each GEMM;
-weight gradients sum fixed column tiles in order. Single-threaded runs are
-therefore bit-reproducible.
+central finite differences. An op computes in the wider of its operands'
+dtypes, and each operand's gradient comes back in that operand's dtype.
+
+Every reduction has a fixed order:
+
+- A convolution is a sum of shifted GEMMs, one per kernel tap, over a
+  zero-ringed channel-major copy of its input: taps are summed outer, in a
+  fixed order, and channels inner, inside each GEMM; weight gradients sum
+  fixed column tiles in order.
+- A transposed convolution's forward pass is one GEMM for all four taps
+  (a sub-pixel convolution); where stride-1 taps overlap they are added in
+  tap order. Its input gradient is four per-tap GEMMs summed in tap order,
+  and its weight gradient is one GEMM per tap.
+- 2x2 pooling sums each block as (a + b) + (c + d), top row first, and
+  multiplies by 0.25; at width 2 it sums left to right, ((a + b) + c) + d.
+  Both are the orders of numpy's mean, so the two agree bit for bit.
+- ReLU is fmax(x, 0), so NaN maps to 0.
+
+Single-threaded runs are therefore bit-reproducible; the bits of a GEMM
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -140,6 +155,8 @@ class Tensor:
             for parent, pgrad in zip(node._parents, parent_grads):
                 if pgrad is None or not parent.requires_grad:
                     continue
+                # an op computes in its operands' widest dtype; a parent keeps its own
+                pgrad = pgrad.astype(parent.data.dtype, copy=False)
                 if parent.grad is None:
                     parent.grad = pgrad
                 else:
@@ -187,8 +204,10 @@ def _check_bias(bias, c_out: int, op: str) -> Optional[Tensor]:
 def _conv_op(out: np.ndarray, x: Tensor, weight: Tensor, bias: Optional[Tensor], grads) -> Tensor:
     """Record a convolution's output, plus its bias, as a node of the graph.
 
-    grads(g) returns (gx, gw); a bias is the third parent, and its gradient
-    sums g over batch and space.
+    out is the op's own buffer or a strided view of one. A contiguous out
+    takes the bias in place; any other is copied, with the bias added in the
+    same pass, into a new contiguous array. grads(g) returns (gx, gw); a
+    bias is the third parent, and its gradient sums g over batch and space.
     """
     if bias is None:
         return _from_op(np.ascontiguousarray(out), (x, weight), grads)
@@ -197,7 +216,9 @@ def _conv_op(out: np.ndarray, x: Tensor, weight: Tensor, bias: Optional[Tensor],
         gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
         return grads(g) + (gb,)
 
-    return _from_op(out + bias.data[None, :, None, None], (x, weight, bias), backward)
+    dest = out if out.flags.c_contiguous else np.empty(out.shape, out.dtype)
+    data = np.add(out, bias.data[None, :, None, None], out=dest)
+    return _from_op(data, (x, weight, bias), backward)
 
 
 def _grid(shape, k: int) -> tuple[int, list[int]]:
@@ -234,9 +255,10 @@ def _tile_columns(rows: int, itemsize: int) -> int:
 def _correlate(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
     """"Same" cross-correlation of a _ringed input with w [C_out,C_in,k,k].
 
-    shape is the input's [B,C_in,H,W]; the output is [B,C_out,H,W]. Tap
-    (ky, kx) is one GEMM over the input shifted by ky*(W+2p) + kx columns;
-    the ring columns of the grid are computed and dropped.
+    shape is the input's [B,C_in,H,W]; the output is a [B,C_out,H,W] view
+    of the channel-major result. Tap (ky, kx) is one GEMM over the input
+    shifted by ky*(W+2p) + kx columns; the ring columns of the grid are
+    computed and dropped.
     """
     b, _, h, wd = shape
     c_out, c_in, k, _ = w.shape
@@ -255,8 +277,7 @@ def _correlate(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
         for tap, off in zip(taps[1:], offsets[1:]):
             product(tap, xf[:, c0 + off : c0 + off + m], out=term[:, :m])
             acc += term[:, :m]
-    out = out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd]
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    return out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd].transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -283,7 +304,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         gf = _ringed(g, kh)  # one copy serves both products
         if x.requires_grad:
             # full correlation with the flipped kernel, channels swapped
-            gx = _correlate(gf, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], g.shape)
+            gx = np.ascontiguousarray(
+                _correlate(gf, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], g.shape)
+            )
         if weight.requires_grad:
             # g's pixel at column q + offsets[centre] meets tap t of x at q + offsets[t];
             # the zero ring of gf masks every q that is not an output pixel
@@ -316,31 +339,51 @@ def _check_stride(stride) -> tuple[int, int]:
     return sh, sw
 
 
-def _pad_taps(y: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    """Append the zero row (column) that _tap_windows reads on a stride-1 axis."""
-    if sh == 2 and sw == 2:
-        return y
-    return np.pad(y, ((0, 0), (0, 0), (0, 2 - sh), (0, 2 - sw)))
-
-
 def _tap_windows(y: np.ndarray, sh: int, sw: int, h: int, wd: int):
     """Yield (di, dj, window) for each tap of the 2x2 kernel.
 
-    Tap (di, dj) of input pixel (i, j) lands on (sh*i + di, sw*j + dj) of y,
-    which is output-shaped plus one trailing row (column) on a stride-1
-    axis; window is the [B, C, h, wd] view of y holding those pixels.
+    Tap (di, dj) of input pixel (i, j) lands on (sh*i + di, sw*j + dj) of
+    the output-shaped y; window is the [B, C, h, wd] view of y holding those
+    pixels, one row (column) short where a stride-1 axis's last pixel's tap
+    falls past the edge.
     """
     for di in range(2):
         for dj in range(2):
             yield di, dj, y[:, :, di::sh, dj::sw][:, :, :h, :wd]
 
 
-def _convt_adjoint(yp: np.ndarray, weight: np.ndarray, sh: int, sw: int, h: int, wd: int) -> np.ndarray:
-    """conv_transpose2d_adjoint of a _pad_taps-padded y, mapping down to [B, C_in, h, wd]."""
-    out = np.zeros((yp.shape[0], weight.shape[0], h, wd), dtype=yp.dtype)
-    for di, dj, win in _tap_windows(yp, sh, sw, h, wd):
-        out += np.tensordot(win, weight[:, :, di, dj], axes=([1], [1])).transpose(0, 3, 1, 2)
-    return out
+def _convt_grads(g: np.ndarray, weight: np.ndarray, sh: int, sw: int, h: int, wd: int,
+                 x: Optional[np.ndarray] = None, wrt_x: bool = True):
+    """(gx, gw) of conv_transpose2d from output gradient g, one gather per tap.
+
+    Each tap's window of g is copied into one reused [C_out, B*h*wd] buffer
+    g_t; a tap that would read past the edge of a stride-1 axis reads zero.
+    With wrt_x, gx [B, C_in, h, wd] is the op's adjoint applied to g: the
+    GEMMs weight[:, :, di, dj] @ g_t summed in tap order. With x, gw is one
+    GEMM x[C_in, B*h*wd] @ g_t.T per tap. A gradient not asked for is None.
+    """
+    b, c_out = g.shape[:2]
+    c_in = weight.shape[0]
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # [2, 2, C_in, C_out]
+    gx = gw = None
+    if x is not None:
+        xm = x.transpose(1, 0, 2, 3).reshape(c_in, -1)
+        gw = np.empty(weight.shape, dtype=np.result_type(g, x))
+    gt = np.empty((c_out, b, h, wd), dtype=g.dtype)
+    flat = gt.reshape(c_out, -1)
+    for di, dj, win in _tap_windows(g, sh, sw, h, wd):
+        rows, cols = win.shape[2:]
+        gt[:, :, rows:] = 0
+        gt[:, :, :, cols:] = 0
+        gt[:, :, :rows, :cols] = win.transpose(1, 0, 2, 3)
+        if wrt_x:
+            term = taps[di, dj] @ flat
+            gx = term if gx is None else np.add(gx, term, out=gx)
+        if gw is not None:
+            gw[:, :, di, dj] = xm @ flat.T
+    if wrt_x:
+        gx = np.ascontiguousarray(gx.reshape(c_in, b, h, wd).transpose(1, 0, 2, 3))
+    return gx, gw
 
 
 def conv_transpose2d_adjoint(y: np.ndarray, weight: np.ndarray, stride) -> np.ndarray:
@@ -358,7 +401,7 @@ def conv_transpose2d_adjoint(y: np.ndarray, weight: np.ndarray, stride) -> np.nd
         raise ShapeMismatchError(
             f"adjoint input spatial dims {(hy, wy)} not divisible by stride {(sh, sw)}"
         )
-    return _convt_adjoint(_pad_taps(y, sh, sw), weight, sh, sw, hy // sh, wy // sw)
+    return _convt_grads(y, np.asarray(weight), sh, sw, hy // sh, wy // sw)[0]
 
 
 def conv_transpose2d(
@@ -386,24 +429,25 @@ def conv_transpose2d(
     c_out = weight.shape[1]
     bias = _check_bias(bias, c_out, "conv_transpose2d")
 
-    # scatter each tap into a zero buffer with _tap_windows' extra row/column
-    t = np.tensordot(x.data, weight.data, axes=([1], [0]))  # [B, H, W, C_out, 2, 2]
-    out = np.zeros((b, c_out, sh * h + 2 - sh, sw * wd + 2 - sw), dtype=x.dtype)
+    # one GEMM gives all four tap planes. Each goes to its strided window of
+    # the output, in tap order: copied where no earlier tap wrote, else added.
+    # The output is allocated before the GEMM's temporaries; the other order
+    # fragments the heap and raised the peak RSS of training by a few MB.
+    out = np.empty((b, c_out, sh * h, sw * wd), dtype=np.result_type(x.data, weight.data))
+    w4 = weight.data.transpose(2, 3, 1, 0).reshape(4 * c_out, c_in)
+    planes = (w4 @ x.data.transpose(1, 0, 2, 3).reshape(c_in, -1)).reshape(2, 2, c_out, b, h, wd)
     for di, dj, win in _tap_windows(out, sh, sw, h, wd):
-        win += t[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
+        plane = planes[di, dj].transpose(1, 0, 2, 3)[:, :, : win.shape[2], : win.shape[3]]
+        if (di == 0 or sh == 2) and (dj == 0 or sw == 2):
+            win[...] = plane
+        else:
+            win += plane
 
     def grads(g: np.ndarray):
-        gx = gw = None
-        gp = _pad_taps(g, sh, sw)
-        if x.requires_grad:
-            gx = _convt_adjoint(gp, weight.data, sh, sw, h, wd)
-        if weight.requires_grad:
-            gw = np.empty_like(weight.data)
-            for di, dj, win in _tap_windows(gp, sh, sw, h, wd):
-                gw[:, :, di, dj] = np.tensordot(x.data, win, axes=([0, 2, 3], [0, 2, 3]))
-        return gx, gw
+        return _convt_grads(g, weight.data, sh, sw, h, wd,
+                            x.data if weight.requires_grad else None, x.requires_grad)
 
-    return _conv_op(out[:, :, : sh * h, : sw * wd], x, weight, bias, grads)
+    return _conv_op(out, x, weight, bias, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -416,20 +460,27 @@ def avgpool2x2(x: Tensor) -> Tensor:
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeMismatchError(f"avgpool2x2 needs even spatial dims, got {h}x{w}")
-    out = x.data.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    blocks = x.data.reshape(b, c, h // 2, 2, w // 2, 2)
+    tl, tr, bl, br = (blocks[:, :, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    # numpy's mean(axis=(3, 5)) order; at w == 2 it sums each block as one run of four
+    total = (tl + tr) + (bl + br) if w > 2 else ((tl + tr) + bl) + br
+    out = total * x.dtype.type(0.25)
 
     def backward(g: np.ndarray):
-        gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * g.dtype.type(0.25)
-        return (gx,)
+        # widen each row, then write it to both of its block's rows
+        rows = np.repeat(g * g.dtype.type(0.25), 2, axis=3)
+        gx = np.empty((b, c, h // 2, 2, w), dtype=g.dtype)
+        gx[...] = rows[:, :, :, None]
+        return (gx.reshape(b, c, h, w),)
 
     return _from_op(out, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(x, 0); the subgradient at exactly 0 is 0."""
+    """Elementwise max(x, 0); NaN maps to 0 and the subgradient at 0 is 0."""
     x = _require_tensor(x, "input")
-    mask = x.data > 0
-    out = np.where(mask, x.data, x.data.dtype.type(0))
+    out = np.fmax(x.data, x.data.dtype.type(0))
+    mask = out > 0
 
     def backward(g: np.ndarray):
         return (g * mask,)

@@ -200,6 +200,58 @@ class TestConvTranspose2d:
             rhs = float(np.sum(x * aty))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
+    STRIDES = [(2, 2), (2, 1), (1, 2), (1, 1)]
+    # (B, C_in, C_out, H, W): one image, single channels, one-pixel rows and columns
+    EDGE_SHAPES = [
+        (1, 2, 3, 3, 4), (2, 1, 3, 3, 4), (2, 3, 1, 3, 4), (2, 2, 3, 1, 5), (2, 2, 3, 4, 1),
+        (1, 1, 1, 1, 1),
+    ]
+    # the network's six transposed convs at B=8, base 8, 32x128 in
+    NETWORK_SHAPES = [
+        ((8, 128, 64, 2, 8), (2, 2)), ((8, 64, 32, 4, 16), (2, 2)), ((8, 32, 16, 8, 32), (2, 2)),
+        ((8, 16, 8, 16, 64), (2, 2)), ((8, 8, 8, 32, 128), (2, 1)), ((8, 8, 8, 64, 128), (2, 1)),
+    ]
+
+    @pytest.mark.parametrize("stride", STRIDES, ids=lambda s: "s{}{}".format(*s))
+    @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: "b{}c{}o{}h{}w{}".format(*s))
+    def test_edge_shapes_match_oracle_and_gradients(self, rng, shape, stride):
+        b, c_in, c_out, h, wd = shape
+        x, w, bias = rand64(rng, b, c_in, h, wd), rand64(rng, c_in, c_out, 2, 2), rand64(rng, c_out)
+        ref = conv_transpose2d_2x2(x.data, w.data, bias.data, stride)
+        got = conv_transpose2d(x, w, bias, stride=stride).data
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        target = Tensor(np.zeros(ref.shape))
+        err = gradient_check(lambda: mse_loss(conv_transpose2d(x, w, bias, stride=stride), target), [x, w, bias])
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("shape,stride", NETWORK_SHAPES, ids=lambda v: "x".join(map(str, v)))
+    def test_network_shapes_match_oracle(self, rng, shape, stride):
+        b, c_in, c_out, h, wd = shape
+        x, w, bias = rng.standard_normal((b, c_in, h, wd)), rng.standard_normal((c_in, c_out, 2, 2)), rng.standard_normal(c_out)
+        ref = conv_transpose2d_2x2(x, w, bias, stride)
+        got = conv_transpose2d(Tensor(x), Tensor(w), Tensor(bias), stride=stride).data
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("stride", STRIDES, ids=lambda s: "s{}{}".format(*s))
+    @pytest.mark.parametrize("view", ["channel-slice", "transposed"])
+    def test_non_contiguous_input(self, rng, view, stride):
+        full = rng.standard_normal((2, 4, 5, 6))
+        data = full[:, 1:3] if view == "channel-slice" else full[:, :2].transpose(0, 1, 3, 2)
+        assert not data.flags.c_contiguous
+        w, bias = rng.standard_normal((2, 3, 2, 2)), rng.standard_normal(3)
+        results = []
+        for arr in (data, np.ascontiguousarray(data)):
+            x = Tensor(arr, requires_grad=True)
+            wt, bt = Tensor(w.copy(), requires_grad=True), Tensor(bias.copy(), requires_grad=True)
+            out = conv_transpose2d(x, wt, bt, stride=stride)
+            mse_loss(out, Tensor(np.zeros(out.shape))).backward()
+            results.append((out.data, x.grad, wt.grad, bt.grad))
+        ref = conv_transpose2d_2x2(np.ascontiguousarray(data), w, bias, stride)
+        assert np.abs(results[0][0] - ref).max() <= 1e-12 * np.abs(ref).max()
+        for got, want in zip(results[0], results[1]):
+            np.testing.assert_array_equal(got, want)
+
 
 class TestPoolActConcat:
     def test_avgpool_values(self):
@@ -229,6 +281,29 @@ class TestPoolActConcat:
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
         out.backward(np.ones_like(out.data))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 8, 32, 128), (2, 3, 6, 10), (2, 3, 4, 2), (1, 1, 2, 2)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_avgpool_bits_match_numpy_mean(self, rng, shape, dtype):
+        x = rng.standard_normal(shape).astype(dtype)
+        b, c, h, w = shape
+        want = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        got = avgpool2x2(Tensor(x)).data
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_bits_match_where(self, rng, dtype):
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf], dtype=dtype)
+        x = np.concatenate([special, rng.standard_normal(1001).astype(dtype), special])
+        got = relu(Tensor(x)).data
+        assert got.tobytes() == np.where(x > 0, x, dtype(0)).tobytes()
+
+    def test_relu_gradient_is_zero_at_nan_and_signed_zeros(self):
+        x = Tensor(np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 3.0]), requires_grad=True)
+        relu(x).backward(np.ones(6))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
 
     def test_relu_gradient(self, rng):
         x = Tensor(rng.standard_normal((3, 7)) + 0.3, requires_grad=True)
@@ -288,6 +363,42 @@ class TestLossAndGraph:
         x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         with pytest.raises(RuntimeError):
             relu(x).backward()
+
+
+class TestMixedDtypes:
+    OPS = {
+        "conv2d": (conv2d, (2, 3, 3, 3)),
+        "conv_transpose2d": (conv_transpose2d, (3, 2, 2, 2)),
+    }
+    F32, F64 = np.float32, np.float64
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("dtypes", [(F32, F64, F32), (F64, F32, F32), (F32, F32, F64), (F64, F64, F32)],
+                             ids=lambda d: "-".join(np.dtype(t).name for t in d))
+    def test_output_and_gradient_dtypes(self, rng, op, dtypes):
+        fn, w_shape = self.OPS[op]
+        x_dtype, w_dtype, b_dtype = dtypes
+        x = Tensor(rng.standard_normal((2, 3, 4, 6)).astype(x_dtype), requires_grad=True)
+        w = Tensor(rng.standard_normal(w_shape).astype(w_dtype), requires_grad=True)
+        b = Tensor(rng.standard_normal(2).astype(b_dtype), requires_grad=True)
+        out = fn(x, w, b)
+        assert out.dtype == np.result_type(x_dtype, w_dtype)
+        mse_loss(out, Tensor(np.zeros(out.shape, out.dtype))).backward()
+        for t in (x, w, b):
+            assert t.grad.dtype == t.dtype
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_float32_parameters_stay_float32_under_float64_input(self, rng, op):
+        fn, w_shape = self.OPS[op]
+        w = Parameter("w", rng.standard_normal(w_shape).astype(np.float32))
+        b = Parameter("b", np.zeros(2, dtype=np.float32))
+        x = Tensor(rng.standard_normal((2, 3, 4, 6)))
+        for _ in range(2):
+            out = fn(x, w.tensor, b.tensor)
+            mse_loss(out, Tensor(np.ones(out.shape))).backward()
+            adam_step([w, b])
+        for p in (w, b):
+            assert p.data.dtype == p.m.dtype == p.v.dtype == np.float32
 
 
 class TestAdam:

@@ -1,20 +1,25 @@
 """The benchmark's traced run still binds to the package.
 
 perfbench/tracer.py wraps the package's public functions and methods by
-name, and wraps the operators `subset_operators` returns. A renamed
-method or an operator it cannot wrap would break only the traced
-benchmark run, which takes minutes; this runs the same bindings on a
-small OSEM. The tracer is compiled from its source, so nothing is
-written next to it.
+name, wraps the operators `subset_operators` returns, and wraps the
+backward closure of each autograd op's output. A renamed method, an
+operator it cannot wrap, or an op argument it cannot bind would break
+only the traced benchmark run, which takes minutes; this runs the same
+bindings on a small OSEM and one small training step. The tracer is
+compiled from its source, so nothing is written next to it.
 """
 
 import types
 from pathlib import Path
 
+import numpy as np
+
 import sinoquad
+import sinoquad.autograd as ag
 from sinoquad.osem import ReconConfig
 from sinoquad.projector import project
 from sinoquad.simulate import shepp_logan
+from sinoquad.unet import UNet, UNetConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,3 +48,26 @@ def test_traced_osem_records_projector_spans():
     assert {"projector.subset_operators", "projector.forward", "projector.adjoint"} <= names
     products = [s for s in children if s[2] in ("projector.forward", "projector.adjoint")]
     assert all(s[5]["nnz"] > 0 for s in products)
+
+
+def test_traced_train_step_records_autograd_spans():
+    rng = np.random.default_rng(0)
+    x = rng.random((2, 1, 16, 64), dtype=np.float32)
+    target = rng.random((2, 1, 64, 64), dtype=np.float32)
+    model = UNet(UNetConfig(base_channels=2, in_angles=16, out_angles=64, detector_bins=64), seed=0)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        out = model.forward(x, training=True)
+        ag.mse_loss(out, ag.Tensor(target)).backward()
+        ag.adam_step(model.parameters())
+    finally:
+        tracer.uninstall()
+
+    names = {s[2] for s in tracer.spans}
+    for op in tracer_module.AUTOGRAD_OPS:
+        assert {f"autograd.{op}.fwd", f"autograd.{op}.bwd"} <= names, op
+    assert {"autograd.backward", "autograd.adam_step", "unet.forward"} <= names
+    conv = [s for s in tracer.spans if s[2] in ("autograd.conv2d.fwd", "autograd.conv2d.bwd")]
+    assert conv and all(s[5]["flop"] > 0 for s in conv)

@@ -1,5 +1,10 @@
 """Network assembly: shape laws, init, parameter ledger, checkpoints."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -186,6 +191,41 @@ class TestForwardSemantics:
                 preds.append(out.data.tobytes())
             runs.append((preds, [p.data.tobytes() for p in model.parameters()]))
         assert runs[0] == runs[1]
+
+
+# Three same-seed Adam steps of a base-2 UNet; prints the SHA-1 of the
+# parameters' bytes. Run as a separate process, so nothing is shared.
+TRAIN_STEPS = """
+import hashlib
+import numpy as np
+import sinoquad.autograd as ag
+from sinoquad.unet import UNet, UNetConfig
+
+rng = np.random.default_rng(8)
+x = rng.random((2, 1, 16, 64), dtype=np.float32)
+target = rng.random((2, 1, 64, 64), dtype=np.float32)
+model = UNet(UNetConfig(base_channels=2), seed=5)
+for _ in range(3):
+    ag.mse_loss(model.forward(x, training=True), ag.Tensor(target)).backward()
+    ag.adam_step(model.parameters(), lr=1e-3)
+print(hashlib.sha1(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest())
+"""
+
+
+def test_same_seed_steps_byte_identical_across_processes_at_one_blas_thread():
+    # BLAS reads its thread count when it loads, so it is pinned in the
+    # environment; results at different thread counts may differ
+    src = str(Path(unet_mod.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    digests = [
+        subprocess.run([sys.executable, "-c", TRAIN_STEPS], env=env, capture_output=True,
+                       text=True, check=True, timeout=300).stdout.strip()
+        for _ in range(2)
+    ]
+    assert len(digests[0]) == 40
+    assert digests[0] == digests[1]
 
 
 class TestCheckpoint:
