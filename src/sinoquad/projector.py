@@ -7,6 +7,14 @@ and rotation is about the pixel-grid centre; view i of n covers
 start + i * range / n degrees with the endpoint excluded, so coarse view
 sets are nested in finer ones whenever the counts divide.
 
+Each view's raw ray sampling is summed without a sort. Along any ray, a
+sample's four bilinear taps land within sqrt(2) detector bins of the
+tapped pixel's own detector coordinate, so every (pixel, bin) entry is one
+of five slots in a window around the bin that coordinate falls in. One
+bincount over pixel-slot keys sums each entry's taps in an order the code
+fixes, tap by tap and each in sample order; the pixel-major sums are
+sparse columns, which convert to rows with sorted columns.
+
 The operator works in pixel units: detector bins are one pixel wide and
 one pixel apart, and line integrals are measured in pixel lengths. The
 callers carry the physical scale: `project` multiplies by the pixel size,
@@ -66,6 +74,7 @@ SAMPLE_STEP = 0.25  # pixels along the ray; contract requires <= 0.5
 _BALANCE_ORDER = 6  # binomial window spans _BALANCE_ORDER + 1 detector bins
 _TAPER = np.array([comb(_BALANCE_ORDER, k) for k in range(_BALANCE_ORDER + 1)], dtype=np.float64)
 _TAPER /= _TAPER.sum()  # taps k/64: a whole window sums to exactly 1.0
+_SLOTS = 5  # detector bins a pixel's bilinear taps can reach along any ray
 
 
 @lru_cache(maxsize=8)
@@ -128,30 +137,46 @@ def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int) -> sp.c
     px = cx + offsets[:, None] * es[0] + ts[None, :] * et[0]
     py = cy + offsets[:, None] * es[1] + ts[None, :] * et[1]
 
-    x0 = np.floor(px).astype(np.int64)
-    y0 = np.floor(py).astype(np.int64)
-    fx = px - x0
-    fy = py - y0
+    x0 = np.floor(px)
+    y0 = np.floor(py)
+    # samples whose cell touches the image; their taps land in the image or
+    # in a one-pixel ring around it, which the padded grid below absorbs
+    keep = (x0 >= -1) & (x0 < width) & (y0 >= -1) & (y0 < height)
+    b = np.broadcast_to(np.arange(n_bins)[:, None], px.shape)[keep]
+    x0, y0 = x0[keep], y0[keep]
+    fx = px[keep] - x0
+    fy = py[keep] - y0
 
-    bin_idx = np.broadcast_to(np.arange(n_bins)[:, None], px.shape)
+    # pixels of the padded [height + 2, width + 2] grid, and each one's slot
+    # base: the detector bin its own coordinate falls in, less 2
+    pw = width + 2
+    yy, xx = np.divmod(np.arange((height + 2) * pw), pw)
+    s_pix = (xx - 1 - cx) * es[0] + (yy - 1 - cy) * es[1]
+    base = np.floor(s_pix + (n_bins - 1) / 2.0).astype(np.int64) - 2
 
-    rows = []
-    cols = []
-    vals = []
-    for dx, wx in ((0, 1.0 - fx), (1, fx)):
-        xi = x0 + dx
-        ok_x = (xi >= 0) & (xi < width)
-        for dy, wy in ((0, 1.0 - fy), (1, fy)):
-            yi = y0 + dy
-            ok = ok_x & (yi >= 0) & (yi < height)
-            rows.append(bin_idx[ok])
-            cols.append((yi[ok] * width + xi[ok]))
-            vals.append((wx[ok] * wy[ok]) * SAMPLE_STEP)
+    # [4, samples] padded pixel and weight of each tap, (dx, dy) = 00, 01, 10, 11
+    corner = ((y0 + 1) * pw + (x0 + 1)).astype(np.int64)
+    pix = corner + np.array([0, pw, 1, pw + 1])[:, None]
+    wx, wy = 1.0 - fx, 1.0 - fy
+    vals = np.empty(pix.shape)
+    for tap, (u, v) in enumerate(((wx, wy), (wx, fy), (fx, wy), (fx, fy))):
+        np.multiply(u, v, out=vals[tap])
+    vals *= SAMPLE_STEP
+    slot = b - base[pix]
+    if slot.size and (slot.min() < 0 or slot.max() >= _SLOTS):
+        raise RuntimeError(f"a ray tap falls outside its pixel's {_SLOTS}-bin slot window")
 
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_bins, height * width),
-    ).tocsr()
+    # one sum per (padded pixel, slot), the taps added tap by tap, each in
+    # sample order; every in-image tap makes an entry, weight 0 included
+    grid = (height + 2, pw, _SLOTS)
+    keys = (pix * _SLOTS + slot).ravel()
+    sums = np.bincount(keys, vals.ravel(), np.prod(grid)).reshape(grid)[1:-1, 1:-1].ravel()
+    taps = np.bincount(keys, None, np.prod(grid)).reshape(grid)[1:-1, 1:-1].ravel()
+    (nz,) = np.nonzero(taps)  # pixel-major: one sparse column per image pixel
+    col = nz // _SLOTS
+    rows = base.reshape(grid[:2])[1:-1, 1:-1].ravel()[col] + nz % _SLOTS
+    indptr = np.searchsorted(col, np.arange(height * width + 1))
+    mat = sp.csc_matrix((sums[nz], rows, indptr), shape=(n_bins, height * width)).tocsr()
     return _balance_columns(mat, theta, height, width, n_bins)
 
 
@@ -220,6 +245,8 @@ class ParallelProjector:
     ):
         if height < 1 or width < 1:
             raise ValueError(f"bad image shape {(height, width)}")
+        if n_bins is not None and n_bins < 1:
+            raise ValueError(f"bad detector bin count n_bins {n_bins}")
         self.height = height
         self.width = width
         self.n_bins = width if n_bins is None else n_bins

@@ -1,7 +1,8 @@
 """Independent reference computations the tests compare the package against.
 
 Everything here is built from first principles with none of the package's
-projection or autograd machinery: brute-force fine-step line integrals,
+projection or autograd machinery: the raw bilinear ray-sampling matrix of
+one view and the brute-force fine-step line integrals it gives,
 analytic disk profiles, an antialiased disk rasteriser, loop forms of the
 two convolutions, a per-tap loop form of the projector's column
 balancing, a loop form of the detector filter and the forward projection
@@ -21,17 +22,17 @@ def binomial_taps(order: int) -> np.ndarray:
     return taper / taper.sum()
 
 
-def brute_force_view(img: np.ndarray, theta_deg: float, n_bins: int, step: float = 0.01) -> np.ndarray:
-    """Line integrals of the bilinearly interpolated image, tiny fixed step.
+def bilinear_ray_matrix(theta_deg: float, h: int, w: int, n_bins: int, step: float) -> sp.csr_matrix:
+    """[n_bins, h*w] raw sampling matrix of one view: bilinear taps, midpoint rule.
 
     One ray per detector bin through the bin centre, rotation about the
-    pixel-grid centre, midpoint quadrature at `step` pixels. Slow and
-    simple on purpose.
+    pixel-grid centre, one sample every `step` pixels. Every in-image tap
+    is an entry, weight 0 included; scipy's COO-to-CSR sort sums the
+    duplicates.
     """
     theta = np.deg2rad(theta_deg)
     es = (np.cos(theta), np.sin(theta))
     et = (-np.sin(theta), np.cos(theta))
-    h, w = img.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     offsets = np.arange(n_bins) - (n_bins - 1) / 2.0
     half_diag = 0.5 * float(np.hypot(h, w))
@@ -57,11 +58,20 @@ def brute_force_view(img: np.ndarray, theta_deg: float, n_bins: int, step: float
             rows.append(bin_idx[ok])
             cols.append(yi[ok] * w + xi[ok])
             vals.append((wx[ok] * wy[ok]) * step)
-    mat = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_bins, h * w),
     ).tocsr()
-    return mat @ img.astype(np.float64).ravel()
+
+
+def brute_force_view(img: np.ndarray, theta_deg: float, n_bins: int, step: float = 0.01) -> np.ndarray:
+    """Line integrals of the bilinearly interpolated image, tiny fixed step.
+
+    The raw sampling matrix at `step` pixels applied to the image. Slow and
+    simple on purpose.
+    """
+    h, w = img.shape
+    return bilinear_ray_matrix(theta_deg, h, w, n_bins, step) @ img.astype(np.float64).ravel()
 
 
 def disk_image(size: int, radius: float, supersample: int = 4) -> np.ndarray:

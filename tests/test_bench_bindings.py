@@ -5,8 +5,9 @@ name, wraps the operators `subset_operators` returns, and wraps the
 backward closure of each autograd op's output. A renamed method, an
 operator it cannot wrap, or an op argument it cannot bind would break
 only the traced benchmark run, which takes minutes; this runs the same
-bindings on a small OSEM and one small training step. The tracer is
-compiled from its source, so nothing is written next to it.
+bindings on a small OSEM, one small projector build and one small
+training step. The tracer is compiled from its source, so nothing is
+written next to it.
 """
 
 import types
@@ -48,6 +49,33 @@ def test_traced_osem_records_projector_spans():
     assert {"projector.subset_operators", "projector.forward", "projector.adjoint"} <= names
     products = [s for s in children if s[2] in ("projector.forward", "projector.adjoint")]
     assert all(s[5]["nnz"] > 0 for s in products)
+
+
+def test_traced_projector_miss_records_one_build_span():
+    # a geometry no other test builds, so the first call is a cache miss;
+    # called through the package, as the benchmark's workloads call it
+    geometry = (32, 32, 32, 3.75)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        proj = sinoquad.get_projector(*geometry)
+        first = len(tracer.spans)
+        assert sinoquad.get_projector(*geometry) is proj
+    finally:
+        tracer.uninstall()
+
+    builds = [s for s in tracer.spans if s[2] == "projector.build"]
+    (build,) = builds
+    assert build[0] < first  # the repeat call records no build
+    assert build[5] == {"views": 32}
+    assert tracer.spans[build[1]][2] == "projector.get"
+    assert [s[2] for s in tracer.spans[first:]] == ["projector.get"]
+
+    figures, _, _ = tracer_module.summarize(tracer.spans, "bench.item")
+    assert figures["projector.build_s.32v"] == build[4] - build[3] > 0.0
+    assert figures["projector.builds"] == 1.0
+    assert figures["projector.cache_hit_ratio"] == 0.5
 
 
 def test_traced_train_step_records_autograd_spans():

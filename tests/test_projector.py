@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import sinoquad.projector as projector_mod
 from oracles import (
     balance_columns_loop,
+    bilinear_ray_matrix,
     brute_force_view,
     disk_image,
     disk_profile,
@@ -49,6 +50,15 @@ class TestViewAngles:
         with pytest.raises(GeometryError, match=field):
             view_angles_deg(*args)
 
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((0, 16, 4), {}, r"image shape \(0, 16\)"),
+        ((16, 16, 4), {"n_bins": 0}, "n_bins 0"),
+        ((16, 16, 4), {"n_bins": -3}, "n_bins -3"),
+    ])
+    def test_bad_projector_geometry(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            get_projector(*args, **kwargs)
+
 
 class TestLineIntegralAccuracy:
     @pytest.mark.parametrize("theta", [0.0, 30.9375, 45.0, 61.875, 135.0])
@@ -90,6 +100,47 @@ class TestLineIntegralAccuracy:
         lhs = proj.forward(2.5 * x - 0.5 * y)
         rhs = 2.5 * proj.forward(x) - 0.5 * proj.forward(y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def raw_views(monkeypatch, *args):
+    """The raw sampling matrix of each stored view, as `_balance_columns` receives it."""
+    calls = []
+    real = projector_mod._balance_columns
+    monkeypatch.setattr(projector_mod, "_balance_columns",
+                        lambda *a: calls.append(a[0]) or real(*a))
+    ParallelProjector(*args)
+    return calls
+
+
+class TestRaySampling:
+    """The sort-free per-view build against the sorting COO-to-CSR oracle.
+
+    Same pattern, zero-weight taps included, and each entry's sum of taps
+    equal up to the order the duplicates are added in.
+    """
+
+    @staticmethod
+    def assert_same_sampling(got, ref):
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_allclose(got.data, ref.data, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [0.0, 30.9375, 45.0, 90.0, 135.0])
+    @pytest.mark.parametrize("size,n_bins", [(128, 128), (24, 40), (16, 12)])
+    def test_view_matches_oracle(self, monkeypatch, theta, size, n_bins):
+        (got,) = raw_views(monkeypatch, size, size, 1, theta, 360.0, n_bins)
+        ref = bilinear_ray_matrix(theta, size, size, n_bins, projector_mod.SAMPLE_STEP)
+        self.assert_same_sampling(got, ref)
+
+    @pytest.mark.parametrize("n_angles,start,span,n_bins", [(1, 7.0, 360.0, 24),
+                                                            (6, 15.0, 180.0, 20)])
+    def test_geometry_matches_oracle(self, monkeypatch, n_angles, start, span, n_bins):
+        views = raw_views(monkeypatch, 24, 24, n_angles, start, span, n_bins)
+        thetas = view_angles_deg(n_angles, start, span)
+        assert len(views) == len(thetas) == n_angles  # neither geometry folds
+        for got, theta in zip(views, thetas):
+            ref = bilinear_ray_matrix(theta, 24, 24, n_bins, projector_mod.SAMPLE_STEP)
+            self.assert_same_sampling(got, ref)
 
 
 class TestMassConservation:
@@ -176,6 +227,18 @@ class TestGeometry:
         base = proj.forward(img)
         turned = np.clip(rotate(img, 11.25, reshape=False, order=3), 0.0, None)
         assert np.abs(proj.forward(turned) - np.roll(base, -4, axis=0)).max() <= 0.01 * base.max()
+
+    def test_coarse_matrix_is_rows_of_fine(self):
+        # each view is built from its angle alone, so a nested view set
+        # stores the very same rows, bit for bit
+        fine = get_projector(64, 64, 64).matrix
+        coarse = get_projector(64, 64, 16).matrix
+        per_view = 2 * 64
+        rows = (np.arange(0, 32, 4)[:, None] * per_view + np.arange(per_view)).ravel()
+        picked = fine[rows]
+        np.testing.assert_array_equal(picked.indptr, coarse.indptr)
+        np.testing.assert_array_equal(picked.indices, coarse.indices)
+        np.testing.assert_array_equal(picked.data, coarse.data)
 
     def test_coarse_views_are_rows_of_fine(self):
         img = shepp_logan(128)
