@@ -14,6 +14,13 @@ the data ratio is set to 0 (with noiseless-consistent data this only
 happens when the measured bin is also 0). The projector works in pixel
 units, so the data are divided by the sinogram's bin width, which is also
 the reconstruction's pixel size.
+
+A multiplicative update keeps a 0 at 0, so the iterate holds only the
+field-of-view pixels and the subset operators are restricted to them.
+The columns dropped would only add +0.0 terms to each bin's sum, and every
+kept pixel backprojects the same rows in the same order, so the image and
+every callback frame are bit for bit those of the loop over the whole
+grid, with about a quarter fewer nonzeros per product at 128 px.
 """
 
 from __future__ import annotations
@@ -70,25 +77,31 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
 
     size = cfg.image_size
     proj = _projector(sino, size, size)
+    pixels = np.flatnonzero(fov_mask(size, size))
 
     subsets = []
     for k in range(cfg.n_subsets):
         views = np.arange(k, sino.n_angles, cfg.n_subsets)
-        a, a_t = proj.subset_operators(views)
+        a, a_t = proj.subset_operators(views, pixels)
         sens = a_t @ np.ones(views.size * sino.n_bins)
         inv_sens = np.divide(1.0, sens, out=np.zeros_like(sens), where=sens > 0)
         subsets.append((a, a_t, inv_sens, y[views].ravel()))
 
-    x = fov_mask(size, size).astype(np.float64).ravel()
+    def on_grid(values):
+        img = np.zeros(size * size)
+        img[pixels] = values
+        return img.reshape(size, size)
+
+    x = np.ones(pixels.size)
     for it in range(cfg.n_iterations):
         for a, a_t, inv_sens, y_k in subsets:
             fp = a @ x
             ratio = np.divide(y_k, fp, out=np.zeros_like(fp), where=fp > _RATIO_EPS)
             x = x * (a_t @ ratio) * inv_sens
         if callback is not None:
-            callback(it, x.reshape(size, size).copy())
+            callback(it, on_grid(x))
 
-    out = np.maximum(x, 0.0).reshape(size, size).astype(np.float32)
+    out = on_grid(np.maximum(x, 0.0)).astype(np.float32)
     return Image(out, pixel_size=sino.bin_width)
 
 

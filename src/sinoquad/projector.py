@@ -55,11 +55,14 @@ What the detector reads from the stored rows, the half-turn fold and the
 filter C together, is one fixed sparse matrix D per geometry, built once
 and cached: `forward` is D @ (matrix @ x), `adjoint` is
 matrix.T @ (D.T @ s), and `subset_operators` gives the same pair for any
-set of views, so callers never see the stored layout.
+set of views, so callers never see the stored layout. It can also drop all
+but a sorted set of pixel columns, and it memoises what it builds per
+projector, within the bytes of the projector's own matrix.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from math import comb
 
@@ -285,25 +288,75 @@ class ParallelProjector:
         out = self.matrix.T @ (self._detector.T @ sino.ravel())
         return out.reshape(self.height, self.width)
 
-    def subset_operators(self, views):
-        """(forward, adjoint) operators restricted to some views.
+    def subset_operators(self, views, pixels=None):
+        """(forward, adjoint) operators restricted to some views, and optionally pixels.
 
         The forward maps an image to those views' bins, concatenated in the
         given order, exactly as `forward` computes them; the adjoint is its
         transpose view, sharing the same arrays. Each is the product of the
         views' rows of the detector matrix and the stored rows they read.
+
+        pixels, when given, are sorted flat pixel indices: the forward then
+        takes the image's values at those pixels only, and the adjoint
+        returns only those pixels. Dropping the other columns drops only
+        their terms, and every kept pixel accumulates the same rows in the
+        same order, so for an image that is +0.0 off those pixels the bins
+        and the kept adjoint values are bit for bit the full operator's.
+
+        The operators are built once per (views, pixels) and memoised for
+        this projector, in a cache whose arrays never exceed the bytes of
+        the projector's own matrix.
         """
         idx = np.asarray(views, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_angles):
             raise ValueError(f"view indices out of range [0, {self.n_angles})")
+        if pixels is not None:
+            pixels = np.asarray(pixels, dtype=np.int64)
+            n_pix = self.height * self.width
+            if pixels.size and (pixels.min() < 0 or pixels.max() >= n_pix):
+                raise ValueError(f"pixel indices out of range [0, {n_pix})")
+            step = np.diff(pixels)
+            if (step < 0).any():
+                raise ValueError("pixel indices are not sorted")
+            if (step == 0).any():
+                raise ValueError("pixel indices repeat")
+        cache = _subsets.setdefault(self, {})
+        key = (idx.tobytes(), None if pixels is None else pixels.tobytes())
+        forward = cache.get(key)
+        if forward is None:
+            forward = self._restricted(idx, pixels)
+            size, limit = _cached_nbytes(forward, self), _nbytes(self.matrix)
+            if size <= limit:
+                if sum(_cached_nbytes(f, self) for f in cache.values()) + size > limit:
+                    cache.clear()
+                cache[key] = forward
+        return forward, forward.T
+
+    def _restricted(self, idx, pixels):
+        """The product operator of `subset_operators`, built without the cache."""
         n, per_view = self.n_bins, 2 * self.n_bins
         stored = np.unique(idx % self._stored_views)
         rows = (stored[:, None] * per_view + np.arange(per_view)).ravel()
         # fancy indexing keeps each row's entries in order, so bins sum as in forward
         d = self._detector[(idx[:, None] * n + np.arange(n)).ravel()][:, rows]
         a = self.matrix if stored.size == self._stored_views else self.matrix[rows]
-        forward = _Product(d, a)
-        return forward, forward.T
+        if pixels is not None:
+            a = a[:, pixels]
+        return _Product(d, a)
+
+
+def _nbytes(mat) -> int:
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def _cached_nbytes(forward: _Product, proj: ParallelProjector) -> int:
+    """Bytes a memoised operator adds to what the projector already holds."""
+    return sum(_nbytes(f) for f in forward.factors if f is not proj.matrix)
+
+
+# projector -> {(views, pixels) as bytes: forward operator}; kept out of the
+# projector itself, so it holds only its matrix, and dropped with it
+_subsets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 _cached = lru_cache(maxsize=8)(ParallelProjector)

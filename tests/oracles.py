@@ -8,6 +8,10 @@ two convolutions, a per-tap loop form of the projector's column
 balancing, a loop form of the detector filter and the forward projection
 through it, the explicit matrix of the projector's stored rows and
 detector filter, and its full-turn operator with a plain OSEM loop over it.
+One entry point is not independent of the package: `osem_full_grid` is
+the package's OSEM loop as it was before it iterated over field-of-view
+pixels only, run on the projector's unrestricted subset operators, so
+the tests can hold the restricted loop to its bits.
 """
 
 from math import comb
@@ -261,3 +265,36 @@ def osem_loop(matrix, y, n_bins, n_subsets, n_iterations, x0, eps=1e-12):
             sens = np.asarray(a.sum(axis=0)).ravel()
             x = np.where(sens > 0, x * (a.T @ ratio) / np.where(sens > 0, sens, 1.0), 0.0)
     return x
+
+
+def osem_full_grid(sino, n_subsets, n_iterations, size, callback=None):
+    """OSEM with the iterate on the whole [size, size] grid, eps 1e-12.
+
+    The multiplicative update over `subset_operators(views)` with no pixel
+    restriction, starting from the field-of-view mask: the loop whose bits
+    the package's field-of-view iterate must keep. Returns the float32
+    image; callback(it, image) gets a float64 copy after each iteration.
+    """
+    from sinoquad.geometry import fov_mask
+    from sinoquad.projector import get_projector
+
+    y = np.asarray(sino.data, dtype=np.float64) / sino.bin_width
+    proj = get_projector(size, size, sino.n_angles, sino.start_angle_deg,
+                         sino.angular_range_deg, sino.n_bins)
+    subsets = []
+    for k in range(n_subsets):
+        views = np.arange(k, sino.n_angles, n_subsets)
+        a, a_t = proj.subset_operators(views)
+        sens = a_t @ np.ones(views.size * sino.n_bins)
+        inv_sens = np.divide(1.0, sens, out=np.zeros_like(sens), where=sens > 0)
+        subsets.append((a, a_t, inv_sens, y[views].ravel()))
+
+    x = fov_mask(size, size).astype(np.float64).ravel()
+    for it in range(n_iterations):
+        for a, a_t, inv_sens, y_k in subsets:
+            fp = a @ x
+            ratio = np.divide(y_k, fp, out=np.zeros_like(fp), where=fp > 1e-12)
+            x = x * (a_t @ ratio) * inv_sens
+        if callback is not None:
+            callback(it, x.reshape(size, size).copy())
+    return np.maximum(x, 0.0).reshape(size, size).astype(np.float32)

@@ -17,8 +17,10 @@ import numpy as np
 
 import sinoquad
 import sinoquad.autograd as ag
+import sinoquad.projector as projector
+from sinoquad.geometry import fov_mask
 from sinoquad.osem import ReconConfig
-from sinoquad.projector import project
+from sinoquad.projector import get_projector, project
 from sinoquad.simulate import shepp_logan
 from sinoquad.unet import UNet, UNetConfig
 
@@ -34,21 +36,35 @@ def load_tracer():
 
 def test_traced_osem_records_projector_spans():
     sino = project(shepp_logan(32), n_angles=16)
+    cfg = ReconConfig(n_subsets=4, n_iterations=1, image_size=32)
+    proj = get_projector(32, 32, 16)
+    pixels = np.flatnonzero(fov_mask(32, 32))
     osem = sinoquad.osem
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        sinoquad.osem(sino, ReconConfig(n_subsets=4, n_iterations=1, image_size=32))
+        sinoquad.osem(sino, cfg)
+        built = dict(projector._subsets[proj])
+        assert len(built) >= 4
+        sinoquad.osem(sino, cfg)  # every subset operator now comes from the cache
+        assert all(projector._subsets[proj][key] is op for key, op in built.items())
     finally:
         tracer.uninstall()
     assert sinoquad.osem is osem
 
-    (root,) = [s for s in tracer.spans if s[2] == "osem.osem"]
-    children = [s for s in tracer.spans if s[1] == root[0]]
-    names = {s[2] for s in children}
-    assert {"projector.subset_operators", "projector.forward", "projector.adjoint"} <= names
-    products = [s for s in children if s[2] in ("projector.forward", "projector.adjoint")]
-    assert all(s[5]["nnz"] > 0 for s in products)
+    restricted = [proj.subset_operators(np.arange(k, 16, 4), pixels)[0].nnz for k in range(4)]
+    full = [proj.subset_operators(np.arange(k, 16, 4))[0].nnz for k in range(4)]
+    assert all(r < f for r, f in zip(restricted, full))
+    roots = [s for s in tracer.spans if s[2] == "osem.osem"]
+    assert len(roots) == 2
+    for root in roots:
+        children = [s for s in tracer.spans if s[1] == root[0]]
+        names = {s[2] for s in children}
+        assert {"projector.subset_operators", "projector.forward", "projector.adjoint"} <= names
+        products = [s for s in children if s[2] in ("projector.forward", "projector.adjoint")]
+        assert all(s[5]["nnz"] > 0 for s in products)
+        # one forward per subset per iteration, each over the field of view's pixels only
+        assert [s[5]["nnz"] for s in children if s[2] == "projector.forward"] == restricted
 
 
 def test_traced_projector_miss_records_one_build_span():

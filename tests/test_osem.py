@@ -8,7 +8,8 @@ so it runs once as a module fixture.
 import numpy as np
 import pytest
 
-from oracles import osem_loop, stacked_operator
+import sinoquad.projector as projector
+from oracles import osem_full_grid, osem_loop, stacked_operator
 from sinoquad.geometry import Image, Sinogram, fov_mask
 from sinoquad.metrics import ssim
 from sinoquad.osem import ReconConfig, log_likelihood, mlem, osem
@@ -174,3 +175,57 @@ class TestHalfTurnFold:
         ref = osem_loop(stacked_operator(proj), y, size, n_subsets, 5,
                         fov_mask(size, size).astype(np.float64).ravel())
         assert np.abs(frames[-1].ravel() - ref).max() <= 1e-9 * ref.max()
+
+
+def bits(a):
+    """The raw bits of a float array, so that -0.0 and 0.0 compare as different."""
+    return a.view(f"u{a.itemsize}")
+
+
+class TestFieldOfViewIterate:
+    @pytest.mark.parametrize("n_views,n_subsets,size,angles", [
+        pytest.param(128, 4, 64, (0.0, 360.0), id="folded-128"),
+        pytest.param(9, 3, 32, (0.0, 360.0), id="unfolded-9"),
+        pytest.param(16, 4, 32, (15.0, 180.0), id="half-turn-16"),
+        pytest.param(32, 1, 64, (0.0, 360.0), id="mlem-32"),
+    ])
+    def test_bits_match_the_full_grid_loop(self, n_views, n_subsets, size, angles):
+        phantom = Image(shepp_logan(size).data, pixel_size=1.5)
+        sino = apply_poisson(project(phantom, n_views, *angles), "low", seed=9)
+        frames, ref_frames = [], []
+        if n_subsets == 1:
+            out = mlem(sino, n_iterations=4, image_size=size,
+                       callback=lambda it, img: frames.append(img))
+        else:
+            cfg = ReconConfig(n_subsets=n_subsets, n_iterations=4, image_size=size)
+            out = osem(sino, cfg, callback=lambda it, img: frames.append(img))
+        ref = osem_full_grid(sino, n_subsets, 4, size,
+                             callback=lambda it, img: ref_frames.append(img))
+        assert out.data.dtype == ref.dtype
+        np.testing.assert_array_equal(bits(out.data), bits(ref))
+        assert len(frames) == len(ref_frames) == 4
+        for frame, ref_frame in zip(frames, ref_frames):
+            assert frame.dtype == ref_frame.dtype and frame.shape == ref_frame.shape
+            np.testing.assert_array_equal(bits(frame), bits(ref_frame))
+
+    def test_subset_cache_stays_within_the_matrix_bytes(self):
+        size, n_views = 40, 16  # a geometry of its own, so its cache starts empty
+        sino = project(shepp_logan(size), n_angles=n_views)
+        proj = get_projector(size, size, n_views)
+        pixels = np.flatnonzero(fov_mask(size, size))
+        matrix_bytes = sum(getattr(proj.matrix, k).nbytes for k in ("data", "indices", "indptr"))
+        for n_subsets in (1, 2, 4, 8):
+            osem(sino, ReconConfig(n_subsets=n_subsets, n_iterations=1, image_size=size))
+            cached = projector._subsets[proj].values()
+            assert cached
+            held = sum(getattr(f, k).nbytes for op in cached for f in op.factors
+                       if f is not proj.matrix for k in ("data", "indices", "indptr"))
+            assert held <= matrix_bytes, n_subsets
+            # the call osem made is served again from memory, not sliced anew
+            views = np.arange(0, n_views, n_subsets)
+            first, _ = proj.subset_operators(views, pixels)
+            again, again_t = proj.subset_operators(views, pixels)
+            for f, g in zip(first.factors, again.factors):
+                assert np.shares_memory(f.data, g.data) and np.shares_memory(f.indices, g.indices)
+            for f, g in zip(first.factors, reversed(again_t.factors)):
+                assert np.shares_memory(f.data, g.data)

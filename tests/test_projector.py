@@ -336,11 +336,32 @@ class TestAdjointAndSubsets:
                 assert np.shares_memory(f.data, g.data) and np.shares_memory(f.indices, g.indices)
             assert a.nnz == a_t.nnz == sum(f.nnz for f in a.factors)
 
+            # restricted to some pixels: the full operator on the zero-filled image
+            some = np.sort(rng.choice(64 * 64, 900, replace=False))
+            for pixels in (np.flatnonzero(fov_mask(64, 64)), some):
+                a_p, a_p_t = proj.subset_operators(views, pixels)
+                zero_filled = np.zeros(64 * 64)
+                zero_filled[pixels] = img.ravel()[pixels]
+                expected = proj.forward(zero_filled.reshape(64, 64))[views].ravel()
+                np.testing.assert_array_equal(a_p @ img.ravel()[pixels], expected)
+                np.testing.assert_array_equal(a_p_t @ y, (a_t @ y)[pixels])
+                for f, g in zip(a_p.factors, reversed(a_p_t.factors)):
+                    assert np.shares_memory(f.data, g.data) and np.shares_memory(f.indices, g.indices)
+                assert a_p.factors[1].shape == (a.factors[1].shape[0], pixels.size)
+
     def test_subset_operators_bounds(self):
         proj = get_projector(64, 64, 16)
         for views in ([16], [-1], [0, 16]):
             with pytest.raises(ValueError, match="out of range"):
                 proj.subset_operators(views)
+        for pixels, problem in [
+            ([0, 64 * 64], "out of range"),
+            ([-1, 5], "out of range"),
+            ([3, 7, 5], "not sorted"),
+            ([3, 5, 5, 7], "repeat"),
+        ]:
+            with pytest.raises(ValueError, match=problem):
+                proj.subset_operators([0, 4], pixels)
 
     @pytest.mark.parametrize(
         "shape,n_angles,bad",
