@@ -117,8 +117,7 @@ def log_likelihood(sino: Sinogram, image: Image) -> float:
     Bins with Ax == 0 contribute -inf when y > 0 and 0 when y == 0.
     """
     y = np.asarray(sino.data, dtype=np.float64).ravel()
-    a, _ = _projector(sino, image.height, image.width).subset_operators(np.arange(sino.n_angles))
-    fp = (a @ np.asarray(image.data, dtype=np.float64).ravel()) * sino.bin_width
+    fp = _projector(sino, image.height, image.width).forward(image.data).ravel() * sino.bin_width
     if np.any((fp <= 0) & (y > 0)):
         return float("-inf")
     pos = fp > 0

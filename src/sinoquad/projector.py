@@ -20,9 +20,9 @@ one pixel apart, and line integrals are measured in pixel lengths. The
 callers carry the physical scale: `project` multiplies by the pixel size,
 and OSEM divides the data by the sinogram's bin width.
 
-Each view is materialised once as a sparse matrix and cached, which makes
-repeated projection, backprojection and iterative reconstruction cheap and
-makes the adjoint exact by construction (the transpose view, never a copy).
+Each view is materialised once as a sparse matrix, which makes repeated
+projection, backprojection and iterative reconstruction cheap and makes the
+adjoint exact by construction (the transpose view, never a copy).
 
 In parallel beam the view at theta + 180 degrees is the view at theta with
 its bins reversed. So a projector over a full 360-degree turn with an even
@@ -52,17 +52,17 @@ core + C(centre). A pixel whose window the detector edge clips keeps its
 renormalised top-up taps as explicit entries in the core rows instead.
 
 What the detector reads from the stored rows, the half-turn fold and the
-filter C together, is one fixed sparse matrix D per geometry, built once
-and cached: `forward` is D @ (matrix @ x), `adjoint` is
+filter C together, is one fixed sparse matrix D per geometry, built with
+the matrix: `forward` is D @ (matrix @ x), `adjoint` is
 matrix.T @ (D.T @ s), and `subset_operators` gives the same pair for any
 set of views, so callers never see the stored layout. It can also drop all
-but a sorted set of pixel columns, and it memoises what it builds per
-projector, within the bytes of the projector's own matrix.
+but a sorted set of pixel columns, and it memoises what it builds on the
+projector, within the bytes of the projector's own matrix. So a projector
+owns all it builds from its geometry, which goes when the projector goes.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import lru_cache
 from math import comb
 
@@ -80,7 +80,6 @@ _TAPER /= _TAPER.sum()  # taps k/64: a whole window sums to exactly 1.0
 _SLOTS = 5  # detector bins a pixel's bilinear taps can reach along any ray
 
 
-@lru_cache(maxsize=8)
 def _detector_matrix(n_angles: int, n_stored: int, n_bins: int) -> sp.csr_matrix:
     """D: what each view's bins read from the stored rows, [n_angles * n_bins, matrix rows].
 
@@ -259,15 +258,10 @@ class ParallelProjector:
             angles = angles[: n_angles // 2]  # the rest are these, bin-reversed
         blocks = [_view_matrix(theta, height, width, self.n_bins) for theta in angles]
         self.matrix = sp.vstack(blocks, format="csr")
-
-    @property
-    def _stored_views(self) -> int:
-        """Views the matrix holds: the first half-turn's when folded, else all."""
-        return self.matrix.shape[0] // (2 * self.n_bins)
-
-    @property
-    def _detector(self) -> sp.csr_matrix:
-        return _detector_matrix(self.n_angles, self._stored_views, self.n_bins)
+        del blocks  # before D's temporaries, which would otherwise raise the build's peak
+        self._n_stored = len(angles)  # stored views: the first half-turn's when folded
+        self._detector = _detector_matrix(n_angles, self._n_stored, self.n_bins)
+        self._operators = {}  # (views, pixels) as bytes -> memoised forward operator
 
     def forward(self, image: np.ndarray) -> np.ndarray:
         img = np.asarray(image, dtype=np.float64)
@@ -303,15 +297,15 @@ class ParallelProjector:
         same order, so for an image that is +0.0 off those pixels the bins
         and the kept adjoint values are bit for bit the full operator's.
 
-        The operators are built once per (views, pixels) and memoised for
-        this projector, in a cache whose arrays never exceed the bytes of
-        the projector's own matrix.
+        views and pixels are 1-D integer sequences, or empty. The operators
+        are built once per (views, pixels) and memoised on this projector, in
+        arrays within its matrix's bytes: an insert past that clears the memo first.
         """
-        idx = np.asarray(views, dtype=np.int64)
+        idx = _indices(views, "view")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_angles):
             raise ValueError(f"view indices out of range [0, {self.n_angles})")
         if pixels is not None:
-            pixels = np.asarray(pixels, dtype=np.int64)
+            pixels = _indices(pixels, "pixel")
             n_pix = self.height * self.width
             if pixels.size and (pixels.min() < 0 or pixels.max() >= n_pix):
                 raise ValueError(f"pixel indices out of range [0, {n_pix})")
@@ -320,26 +314,28 @@ class ParallelProjector:
                 raise ValueError("pixel indices are not sorted")
             if (step == 0).any():
                 raise ValueError("pixel indices repeat")
-        cache = _subsets.setdefault(self, {})
         key = (idx.tobytes(), None if pixels is None else pixels.tobytes())
-        forward = cache.get(key)
+        forward = self._operators.get(key)
         if forward is None:
             forward = self._restricted(idx, pixels)
-            size, limit = _cached_nbytes(forward, self), _nbytes(self.matrix)
-            if size <= limit:
-                if sum(_cached_nbytes(f, self) for f in cache.values()) + size > limit:
-                    cache.clear()
-                cache[key] = forward
+            # bytes each operator adds to what the projector already holds
+            held = [sum(_nbytes(f) for f in op.factors if f is not self.matrix)
+                    for op in (forward, *self._operators.values())]
+            limit = _nbytes(self.matrix)
+            if held[0] <= limit:
+                if sum(held) > limit:
+                    self._operators.clear()
+                self._operators[key] = forward
         return forward, forward.T
 
     def _restricted(self, idx, pixels):
-        """The product operator of `subset_operators`, built without the cache."""
+        """The product operator of `subset_operators`, built without the memo."""
         n, per_view = self.n_bins, 2 * self.n_bins
-        stored = np.unique(idx % self._stored_views)
+        stored = np.unique(idx % self._n_stored)
         rows = (stored[:, None] * per_view + np.arange(per_view)).ravel()
         # fancy indexing keeps each row's entries in order, so bins sum as in forward
         d = self._detector[(idx[:, None] * n + np.arange(n)).ravel()][:, rows]
-        a = self.matrix if stored.size == self._stored_views else self.matrix[rows]
+        a = self.matrix if stored.size == self._n_stored else self.matrix[rows]
         if pixels is not None:
             a = a[:, pixels]
         return _Product(d, a)
@@ -349,14 +345,12 @@ def _nbytes(mat) -> int:
     return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
-def _cached_nbytes(forward: _Product, proj: ParallelProjector) -> int:
-    """Bytes a memoised operator adds to what the projector already holds."""
-    return sum(_nbytes(f) for f in forward.factors if f is not proj.matrix)
-
-
-# projector -> {(views, pixels) as bytes: forward operator}; kept out of the
-# projector itself, so it holds only its matrix, and dropped with it
-_subsets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _indices(values, name: str) -> np.ndarray:
+    """values as 1-D int64, rejecting what a cast would silently rewrite."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"{name} indices are not 1-D integers ({arr.ndim}-D {arr.dtype})")
+    return arr.astype(np.int64)
 
 
 _cached = lru_cache(maxsize=8)(ParallelProjector)
@@ -370,7 +364,12 @@ def get_projector(
     angular_range_deg: float = 360.0,
     n_bins: int | None = None,
 ) -> ParallelProjector:
-    """Cached projector lookup; geometries are built once per process."""
+    """Cached projector lookup; geometries are built once per process.
+
+    Keeps the 8 most recently used projectors, each at most 2 x matrix + D
+    bytes (its memo stays within the matrix's bytes): about 83 MB each at
+    128x128 px and 128 views.
+    """
     return _cached(
         int(height),
         int(width),

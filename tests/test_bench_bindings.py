@@ -17,7 +17,6 @@ import numpy as np
 
 import sinoquad
 import sinoquad.autograd as ag
-import sinoquad.projector as projector
 from sinoquad.geometry import fov_mask
 from sinoquad.osem import ReconConfig
 from sinoquad.projector import get_projector, project
@@ -35,25 +34,28 @@ def load_tracer():
 
 
 def test_traced_osem_records_projector_spans():
-    sino = project(shepp_logan(32), n_angles=16)
-    cfg = ReconConfig(n_subsets=4, n_iterations=1, image_size=32)
-    proj = get_projector(32, 32, 16)
-    pixels = np.flatnonzero(fov_mask(32, 32))
+    # a geometry no other test builds, so the operator memo starts empty:
+    # one another test filled could be cleared at its byte bound mid-run
+    size, n_views = 36, 16
+    sino = project(shepp_logan(size), n_angles=n_views)
+    cfg = ReconConfig(n_subsets=4, n_iterations=1, image_size=size)
+    proj = get_projector(size, size, n_views)
+    pixels = np.flatnonzero(fov_mask(size, size))
     osem = sinoquad.osem
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
         sinoquad.osem(sino, cfg)
-        built = dict(projector._subsets[proj])
+        built = dict(proj._operators)
         assert len(built) >= 4
-        sinoquad.osem(sino, cfg)  # every subset operator now comes from the cache
-        assert all(projector._subsets[proj][key] is op for key, op in built.items())
+        sinoquad.osem(sino, cfg)  # every subset operator now comes from the memo
+        assert all(proj._operators[key] is op for key, op in built.items())
     finally:
         tracer.uninstall()
     assert sinoquad.osem is osem
 
-    restricted = [proj.subset_operators(np.arange(k, 16, 4), pixels)[0].nnz for k in range(4)]
-    full = [proj.subset_operators(np.arange(k, 16, 4))[0].nnz for k in range(4)]
+    restricted = [proj.subset_operators(np.arange(k, n_views, 4), pixels)[0].nnz for k in range(4)]
+    full = [proj.subset_operators(np.arange(k, n_views, 4))[0].nnz for k in range(4)]
     assert all(r < f for r, f in zip(restricted, full))
     roots = [s for s in tracer.spans if s[2] == "osem.osem"]
     assert len(roots) == 2

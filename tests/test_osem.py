@@ -8,7 +8,6 @@ so it runs once as a module fixture.
 import numpy as np
 import pytest
 
-import sinoquad.projector as projector
 from oracles import osem_full_grid, osem_loop, stacked_operator
 from sinoquad.geometry import Image, Sinogram, fov_mask
 from sinoquad.metrics import ssim
@@ -216,7 +215,7 @@ class TestFieldOfViewIterate:
         matrix_bytes = sum(getattr(proj.matrix, k).nbytes for k in ("data", "indices", "indptr"))
         for n_subsets in (1, 2, 4, 8):
             osem(sino, ReconConfig(n_subsets=n_subsets, n_iterations=1, image_size=size))
-            cached = projector._subsets[proj].values()
+            cached = proj._operators.values()
             assert cached
             held = sum(getattr(f, k).nbytes for op in cached for f in op.factors
                        if f is not proj.matrix for k in ("data", "indices", "indptr"))

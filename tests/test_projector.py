@@ -1,5 +1,8 @@
 """Forward projector accuracy, geometry, and adjoint contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -301,10 +304,19 @@ class TestAdjointAndSubsets:
             proj.adjoint(y), (full.T @ y.ravel()).reshape(64, 64), rtol=1e-12, atol=1e-12
         )
 
-    def test_stores_only_the_forward_matrix(self):
-        proj = ParallelProjector(32, 32, 4)
-        assert [name for name, v in vars(proj).items() if sp.issparse(v)] == ["matrix"]
-        assert set(vars(proj)) == {"height", "width", "n_bins", "n_angles", "matrix"}
+    def test_holds_only_the_matrix_and_the_detector_matrix(self):
+        # built with the projector; forward and adjoint add nothing, and the
+        # adjoint reads transpose views, so no transposed copy is ever held
+        proj = ParallelProjector(32, 32, 5)
+        before = dict(vars(proj))
+        proj.adjoint(proj.forward(np.ones((32, 32))))
+        assert vars(proj).keys() == before.keys()
+        assert all(vars(proj)[name] is value for name, value in before.items())
+        held = [v for v in vars(proj).values() if sp.issparse(v)]
+        assert len(held) == 2 and sum(m is proj.matrix for m in held) == 1
+        (detector,) = [m for m in held if m is not proj.matrix]
+        assert detector.shape == (5 * 32, proj.matrix.shape[0])
+        assert all(m.format == "csr" for m in held)
 
     @pytest.mark.parametrize("args,subsets", [
         # views from both half-turns, an opposite pair, one second-half view, all views
@@ -362,6 +374,17 @@ class TestAdjointAndSubsets:
         ]:
             with pytest.raises(ValueError, match=problem):
                 proj.subset_operators([0, 4], pixels)
+        # what a cast to integers would silently rewrite: fractions, masks, 2-D
+        for bad in ([0.5, 1.7], [True, False], np.array([[0, 1]]), 3):
+            with pytest.raises(ValueError, match="view indices are not 1-D integers"):
+                proj.subset_operators(bad)
+            with pytest.raises(ValueError, match="pixel indices are not 1-D integers"):
+                proj.subset_operators([0, 4], bad)
+        # empty sequences are float64 to numpy, and ranges are integers
+        a, _ = proj.subset_operators([], [])
+        assert [f.shape for f in a.factors] == [(0, 0), (0, 0)]
+        a, _ = proj.subset_operators(range(16), range(64 * 64))
+        np.testing.assert_array_equal(a @ np.ones(64 * 64), proj.forward(np.ones((64, 64))).ravel())
 
     @pytest.mark.parametrize(
         "shape,n_angles,bad",
@@ -390,3 +413,13 @@ class TestCachingAndDeterminism:
 
     def test_matrix_entries_nonnegative(self):
         assert ParallelProjector(64, 64, 9).matrix.min() >= 0.0
+
+    def test_nothing_outlives_a_projector(self):
+        # everything a projector builds from its geometry is freed with it
+        proj = ParallelProjector(24, 24, 6)
+        proj.forward(np.ones((24, 24)))
+        forward, adjoint = proj.subset_operators([1, 4], np.flatnonzero(fov_mask(24, 24)))
+        refs = [weakref.ref(x) for x in (proj, proj._detector, *forward.factors)]
+        del proj, forward, adjoint
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
