@@ -534,32 +534,20 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 # optimizer
 
 
-class Parameter:
+class Parameter(Tensor):
     """A named trainable tensor with Adam moment buffers and a step count."""
 
-    __slots__ = ("name", "tensor", "m", "v", "step")
+    __slots__ = ("name", "m", "v", "step")
 
     def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-        self.m = np.zeros_like(self.tensor.data)
-        self.v = np.zeros_like(self.tensor.data)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
         self.step = 0
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value) -> None:
-        self.tensor.data = _as_float_array(value)
-
-    @property
-    def grad(self):
-        return self.tensor.grad
-
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.data.shape})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 _ADAM_B1 = 0.9
@@ -575,18 +563,18 @@ def adam_step(params: Iterable[Parameter], lr: float = 1e-3) -> None:
     standard b1 = 0.9, b2 = 0.999 and eps = 1e-8.
     """
     for p in params:
-        g = p.tensor.grad
+        g = p.grad
         if g is None:
             raise MissingGradientError(f"parameter {p.name!r} has no gradient")
         p.step += 1
-        dt = p.tensor.data.dtype.type
+        dt = p.data.dtype.type
         b1, b2 = dt(_ADAM_B1), dt(_ADAM_B2)
         p.m = b1 * p.m + (dt(1) - b1) * g
         p.v = b2 * p.v + (dt(1) - b2) * (g * g)
         m_hat = p.m / (dt(1) - b1 ** p.step)
         v_hat = p.v / (dt(1) - b2 ** p.step)
-        p.tensor.data = p.tensor.data - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(_ADAM_EPS))
-        p.tensor.grad = None
+        p.data = p.data - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(_ADAM_EPS))
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

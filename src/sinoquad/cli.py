@@ -36,9 +36,11 @@ from .trainer import (
     replication_predictor,
     train,
 )
-from .unet import UNetConfig, load_checkpoint
+from .unet import VIEW_FACTOR, check_extents, load_checkpoint
 
 _DATA_DIR_ENV = "SINOQUAD_DATA_DIR"
+_DENSE_VIEWS = 128  # reproduce's reference and its sparse arm's view counts
+_SPARSE_VIEWS = _DENSE_VIEWS // VIEW_FACTOR
 
 
 class UsageError(Exception):
@@ -141,7 +143,7 @@ def cmd_recon(args) -> int:
 
 def cmd_eval(args) -> int:
     ref = read_tomo(args.ref)
-    est = read_tomo(args.est)
+    est = read_tomo_as(args.est, type(ref))
     report = MetricsReport.from_pair(ref.data, est.data)
     if args.table:
         print(
@@ -195,8 +197,8 @@ def _self_train(cfg: TrainConfig, args) -> str:
         count=args.pairs,
         noise="mixed",
         out_dir=Path(cfg.manifest).parent,
-        in_views=32,
-        out_views=128,
+        in_views=_SPARSE_VIEWS,
+        out_views=_DENSE_VIEWS,
     )
     print(f"no --model given; training {cfg.base_channels}-channel model "
           f"on {args.pairs} pairs ({cfg.epochs} epochs)")
@@ -209,9 +211,9 @@ def cmd_reproduce(args) -> int:
     recon_cfg = ReconConfig(
         n_subsets=args.subsets, n_iterations=args.iters, image_size=args.size
     )
-    if 32 % recon_cfg.n_subsets:  # the sparse arm's views; it then divides 128 too
-        raise ValueError(f"n_subsets={recon_cfg.n_subsets} does not divide n_angles=32")
-    UNetConfig(base_channels=args.base_channels, detector_bins=args.size)  # the network's shape rules
+    if _SPARSE_VIEWS % recon_cfg.n_subsets:  # then it divides the dense views too
+        raise ValueError(f"n_subsets={recon_cfg.n_subsets} does not divide n_angles={_SPARSE_VIEWS}")
+    check_extents(_SPARSE_VIEWS, args.size)
     out_dir = Path(args.out) if args.out else _default_path("reproduce")
     train_cfg = None if args.model else _train_config(out_dir, args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,8 +223,8 @@ def cmd_reproduce(args) -> int:
     from .projector import project
 
     phantom = shepp_logan(args.size)
-    reference = project(phantom, n_angles=128)
-    sparse = subsample_views(reference, 4)
+    reference = project(phantom, n_angles=_DENSE_VIEWS)
+    sparse = subsample_views(reference, VIEW_FACTOR)
     noisy = apply_poisson(sparse, args.noise, args.seed)
 
     predicted, proposed, (rec_proposed, rec_standard) = compare(
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (TomoFormatError, ValueError, KeyError, OSError) as exc:
+    except (TomoFormatError, ValueError, OSError) as exc:
         print(f"error: data: {_one_line(exc)}", file=sys.stderr)
         return 2
     except Exception as exc:

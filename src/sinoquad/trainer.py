@@ -22,7 +22,7 @@ from .io_formats import read_manifest, read_tomo_as, write_atomic
 from .metrics import MetricsReport
 from .osem import ReconConfig, osem
 from .rng import PURPOSE_SHUFFLE, PURPOSE_SPLIT, stream
-from .unet import UNet, UNetConfig, save_checkpoint
+from .unet import VIEW_FACTOR, UNet, UNetConfig, save_checkpoint
 
 
 def normalize(sino: np.ndarray) -> tuple[np.ndarray, float]:
@@ -91,7 +91,15 @@ def load_train_config(path) -> TrainConfig:
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_TYPES:
             raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-        values[key] = _CONFIG_TYPES[key](value)
+        if not value:
+            raise ValueError(f"{path}:{ln}: config key {key!r} has no value")
+        kind = _CONFIG_TYPES[key]
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{ln}: config key {key!r}: cannot read {value!r} as {kind.__name__}"
+            ) from None
     if "manifest" not in values:
         raise ValueError(f"{path}: config must set manifest=<path>")
     return TrainConfig(**values)
@@ -133,9 +141,9 @@ def _load_pairs(cfg: TrainConfig):
         t.shape != out_shape for t in targets
     ):
         raise ValueError("manifest pairs have inconsistent shapes")
-    if out_shape != (4 * in_shape[0], in_shape[1]):
+    if out_shape != (VIEW_FACTOR * in_shape[0], in_shape[1]):
         raise ValueError(
-            f"target shape {out_shape} is not the 4x-angle partner of {in_shape}"
+            f"target shape {out_shape} is not the {VIEW_FACTOR}x-angle partner of {in_shape}"
         )
     return np.stack(inputs), np.stack(targets)
 
@@ -163,16 +171,7 @@ def train(cfg: TrainConfig, verbose: bool = True) -> tuple[UNet, TrainHistory]:
     inputs, targets = _load_pairs(cfg)
     n = len(inputs)
     train_idx, val_idx = _split_indices(n, cfg.split_fraction, cfg.seed)
-    in_angles, bins = inputs.shape[1], inputs.shape[2]
-    model = UNet(
-        UNetConfig(
-            base_channels=cfg.base_channels,
-            in_angles=in_angles,
-            out_angles=4 * in_angles,
-            detector_bins=bins,
-        ),
-        seed=cfg.seed,
-    )
+    model = UNet(UNetConfig(cfg.base_channels), seed=cfg.seed)
     history = TrainHistory()
     best_weights = None
     for epoch in range(cfg.epochs):
@@ -241,10 +240,10 @@ def model_predictor(model: UNet):
 
 
 def replication_predictor():
-    """Baseline: each measured view stands in for its 4 missing neighbors."""
+    """Baseline: each measured view fills its own slot and the next VIEW_FACTOR - 1."""
 
     def predict(noisy: np.ndarray) -> np.ndarray:
-        return np.repeat(np.asarray(noisy, dtype=np.float32), 4, axis=0)
+        return np.repeat(np.asarray(noisy, dtype=np.float32), VIEW_FACTOR, axis=0)
 
     return predict
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,41 +37,40 @@ from .rng import PURPOSE_INIT, stream
 
 CHECKPOINT_MAGIC = b"SPTC0001"
 _NORMALIZATION = "per_sinogram_max"
+# UNetConfig fields that older checkpoints carry; read for their types only
+_DROPPED_CONFIG_KEYS = ("in_angles", "out_angles", "detector_bins", "bottleneck_channels")
 
 
 @dataclass(frozen=True)
 class UNetConfig:
-    """Architecture knobs. bottleneck_channels=None means 16*base_channels."""
+    """The network's width; its input extents come from the data."""
 
     base_channels: int = 32
-    in_angles: int = 32
-    out_angles: int = 128
-    detector_bins: int = 128
-    bottleneck_channels: int | None = None
 
     def __post_init__(self):
         if self.base_channels < 1:
             raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.out_angles != 4 * self.in_angles:
-            raise ValueError(
-                f"out_angles must be 4x in_angles, got {self.in_angles} -> {self.out_angles}"
-            )
-        if self.in_angles % 16 or self.detector_bins % 16:
-            raise ValueError(
-                "in_angles and detector_bins must be divisible by 16 "
-                f"(four 2x2 poolings), got {self.in_angles}x{self.detector_bins}"
-            )
-        if self.bottleneck_channels is None:
-            object.__setattr__(self, "bottleneck_channels", 16 * self.base_channels)
-        if self.bottleneck_channels < 1:
-            raise ValueError("bottleneck_channels must be >= 1")
+
+
+# The last two expanding blocks stride only the angle axis, each doubling
+# the views: together they set the network's view factor.
+_ANGLE_UPSAMPLINGS = (4, 5)
+VIEW_FACTOR = 2 ** len(_ANGLE_UPSAMPLINGS)
+
+
+def check_extents(angles: int, bins: int) -> None:
+    """Raise ShapeMismatchError unless both extents survive four 2x2 poolings."""
+    if angles % 16 or bins % 16:
+        raise ag.ShapeMismatchError(
+            f"input extents {angles}x{bins} must be divisible by 16 (four 2x2 poolings)"
+        )
 
 
 def _layer_table(config: UNetConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) for every parameter, in creation order."""
     base = config.base_channels
     down = [base * (1 << i) for i in range(4)]  # 32,64,128,256 at default
-    bott = config.bottleneck_channels
+    bott = 16 * base
     table: list[tuple[str, tuple[int, ...]]] = []
 
     def conv(tag, c_in, c_out, k):
@@ -95,7 +94,7 @@ def _layer_table(config: UNetConfig) -> list[tuple[str, tuple[int, ...]]]:
         conv(f"up{j}_conv1", 2 * c, c, 3)  # concat doubles the input
         conv(f"up{j}_conv2", c, c, 3)
         prev = c
-    for j in (4, 5):
+    for j in _ANGLE_UPSAMPLINGS:
         convt(f"up{j}_convt", prev, base)
         conv(f"up{j}_conv1", base, base, 3)
         conv(f"up{j}_conv2", base, base, 3)
@@ -129,21 +128,16 @@ class UNet:
         return list(self.params.values())
 
     def _pair(self, tag):
-        return self.params[f"{tag}_w"].tensor, self.params[f"{tag}_b"].tensor
+        return self.params[f"{tag}_w"], self.params[f"{tag}_b"]
 
     def forward(self, x, training: bool = False) -> ag.Tensor:
-        """[B,1,A,D] -> [B,1,4A,D]; A and D must be divisible by 16."""
+        """[B,1,A,D] -> [B,1,VIEW_FACTOR*A,D]; see check_extents for A and D."""
         t = x if isinstance(x, ag.Tensor) else ag.Tensor(np.asarray(x, dtype=np.float32))
         if t.data.ndim != 4 or t.shape[1] != 1:
             raise ag.ShapeMismatchError(
                 f"expected input shaped [B,1,angles,bins], got {t.shape}"
             )
-        angles, bins = t.shape[2], t.shape[3]
-        if angles % 16 or bins % 16:
-            raise ag.ShapeMismatchError(
-                f"input extents {angles}x{bins} must be divisible by 16 "
-                "(four 2x2 poolings)"
-            )
+        check_extents(t.shape[2], t.shape[3])
 
         def block(h, tag):
             w, b = self._pair(tag)
@@ -164,7 +158,7 @@ class UNet:
             h = ag.concat_channels(h, skips[3 - j])
             h = block(h, f"up{j}_conv1")
             h = block(h, f"up{j}_conv2")
-        for j in (4, 5):
+        for j in _ANGLE_UPSAMPLINGS:
             w, b = self._pair(f"up{j}_convt")
             h = ag.conv_transpose2d(h, w, b, stride=(2, 1))
             h = block(h, f"up{j}_conv1")
@@ -220,12 +214,14 @@ def load_checkpoint(path) -> UNet:
     config = header.get("config") if isinstance(header, dict) else None
     if not (
         isinstance(config, dict)
-        and set(config) <= {f.name for f in fields(UNetConfig)}
+        and set(config) <= {"base_channels", *_DROPPED_CONFIG_KEYS}
         and all(type(v) is int or (k == "bottleneck_channels" and v is None)
                 for k, v in config.items())
     ):
         raise TomoFormatError(f"checkpoint {path} header has no valid UNetConfig object")
-    config = UNetConfig(**config)
+    # the dropped keys were fixed by the data or by base_channels; a
+    # non-default bottleneck shows up below as a mismatched array table
+    config = UNetConfig(**{k: v for k, v in config.items() if k not in _DROPPED_CONFIG_KEYS})
     expected = [[name, list(shape)] for name, shape in _layer_table(config)]
     if header.get("arrays") != expected:
         raise TomoFormatError(

@@ -394,7 +394,7 @@ class TestMixedDtypes:
         b = Parameter("b", np.zeros(2, dtype=np.float32))
         x = Tensor(rng.standard_normal((2, 3, 4, 6)))
         for _ in range(2):
-            out = fn(x, w.tensor, b.tensor)
+            out = fn(x, w, b)
             mse_loss(out, Tensor(np.ones(out.shape))).backward()
             adam_step([w, b])
         for p in (w, b):
@@ -405,17 +405,23 @@ class TestAdam:
     def test_first_step_magnitude(self):
         # theta0 = 0, g = 0.5 -> first update is -lr within 1e-4 relative
         p = Parameter("w", np.zeros(1, dtype=np.float64))
-        p.tensor.grad = np.array([0.5])
+        p.grad = np.array([0.5])
         adam_step([p], lr=1e-3)
         assert p.data[0] == pytest.approx(-1e-3, rel=1e-4)
-        assert p.tensor.grad is None
+        assert p.grad is None
         assert p.step == 1
 
     def test_zero_gradient_leaves_parameter_unchanged(self):
         p = Parameter("w", np.array([1.5, -2.0]))
-        p.tensor.grad = np.zeros(2, dtype=np.float32)
+        p.grad = np.zeros(2, dtype=np.float32)
         adam_step([p])
         np.testing.assert_array_equal(p.data, np.array([1.5, -2.0], dtype=np.float32))
+
+    def test_parameter_is_a_leaf_tensor(self):
+        p = Parameter("w", np.ones((2, 3), dtype=np.float32))
+        assert isinstance(p, Tensor) and p.requires_grad
+        mse_loss(p, Tensor(np.zeros((2, 3), dtype=np.float32))).backward()
+        np.testing.assert_allclose(p.grad, np.full((2, 3), 1 / 3), rtol=1e-6)
 
     def test_missing_gradient_names_parameter(self):
         p = Parameter("down1.conv1.w", np.zeros(3))
@@ -429,7 +435,7 @@ class TestAdam:
             p = Parameter("w", rng.standard_normal(8).astype(np.float32))
             for t in range(10):
                 g = np.sin(np.arange(8, dtype=np.float32) + t) * p.data
-                p.tensor.grad = g
+                p.grad = g
                 adam_step([p], lr=1e-3)
             return p.data.tobytes()
 
@@ -438,6 +444,6 @@ class TestAdam:
     def test_descends_on_quadratic(self):
         p = Parameter("w", np.array([4.0, -3.0]))
         for _ in range(200):
-            p.tensor.grad = 2.0 * p.data
+            p.grad = 2.0 * p.data
             adam_step([p], lr=0.05)
         assert np.abs(p.data).max() < 0.5

@@ -100,7 +100,7 @@ def test_traced_train_step_records_autograd_spans():
     rng = np.random.default_rng(0)
     x = rng.random((2, 1, 16, 64), dtype=np.float32)
     target = rng.random((2, 1, 64, 64), dtype=np.float32)
-    model = UNet(UNetConfig(base_channels=2, in_angles=16, out_angles=64, detector_bins=64), seed=0)
+    model = UNet(UNetConfig(base_channels=2), seed=0)
     tracer_module = load_tracer()
     tracer = tracer_module.Tracer()
     tracer.install()

@@ -149,6 +149,15 @@ class TestExitCodes:
         assert code in (0, 1, 2), err
         assert err.count("error:") <= 1
 
+    def test_key_error_is_internal(self, tmp_path, capsys, monkeypatch):
+        # every reader checks its keys first, so a KeyError is a bug, not bad data
+        def buggy(args):
+            raise KeyError("noise")
+
+        monkeypatch.setattr(sinoquad.cli, "cmd_phantom", buggy)
+        assert main(["phantom", "random", "--out", str(tmp_path / "p.sptb")]) == 3
+        assert capsys.readouterr().err.startswith("error: internal:")
+
     def test_huge_bin_width_reconstructs(self, tmp_path):
         path = tmp_path / "sino.sptb"
         write_tomo(path, Sinogram(np.ones((16, 16), dtype=np.float32), bin_width=1e9))
@@ -192,8 +201,7 @@ class TestExitCodes:
     ], ids=["extra-config-key", "string-base-channels", "arrays-not-a-list", "header-is-a-list"])
     def test_malformed_checkpoint_header_is_data_error(self, tmp_path, capsys, edit):
         good = tmp_path / "good.sptc"
-        save_checkpoint(UNet(UNetConfig(base_channels=1, in_angles=16, out_angles=64,
-                                        detector_bins=64)), good)
+        save_checkpoint(UNet(UNetConfig(base_channels=1)), good)
         blob = good.read_bytes()
         (size,) = struct.unpack_from("<I", blob, 8)
         header = json.dumps(edit(json.loads(blob[12 : 12 + size]))).encode()
@@ -299,6 +307,19 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,hint", [
+        ("checkpoint_path =", "'checkpoint_path' has no value"),
+        ("epochs = two", "'epochs': cannot read 'two' as int"),
+        ("learning_rate = fast", "'learning_rate': cannot read 'fast' as float"),
+    ], ids=["empty", "bad-int", "bad-float"])
+    def test_unreadable_config_value_is_data_error(self, tmp_path, capsys, line, hint):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"manifest = m.jsonl\n{line}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and f"{cfg}:2:" in err and hint in err
+        assert not (tmp_path / "model.sptc").exists()
+
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_learning_rate_is_data_error(self, tmp_path, capsys, rate):
         cfg = tmp_path / "train.cfg"
@@ -360,6 +381,14 @@ class TestEvalCommand:
         assert main(["eval", "--ref", str(a), "--est", str(b), "--table"]) == 0
         out = capsys.readouterr().out
         assert "MAPE (%)" in out and "PSNR (dB)" in out
+
+    def test_kind_mismatch_is_data_error(self, tmp_path, capsys):
+        img, sino = tmp_path / "img.sptb", tmp_path / "sino.sptb"
+        write_tomo(img, Image(np.ones((16, 16), dtype=np.float32)))
+        write_tomo(sino, Sinogram(np.ones((16, 16), dtype=np.float32)))
+        assert main(["eval", "--ref", str(img), "--est", str(sino)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and str(sino) in err
 
     def test_shape_mismatch_is_data_error(self, tmp_path, capsys):
         a = tmp_path / "a.sptb"

@@ -27,8 +27,7 @@ def work(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(3)
     write_tomo(root / "good.sptb", Sinogram(rng.random((16, 16)).astype(np.float32) * 50.0))
-    config = UNetConfig(base_channels=1, in_angles=16, out_angles=64, detector_bins=16)
-    save_checkpoint(UNet(config, seed=1), root / "good.sptc")
+    save_checkpoint(UNet(UNetConfig(base_channels=1), seed=1), root / "good.sptc")
     ckpt = (root / "good.sptc").read_bytes()
     (header_len,) = struct.unpack_from("<I", ckpt, 8)
     sino = (root / "good.sptb").read_bytes()

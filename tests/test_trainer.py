@@ -197,10 +197,7 @@ class TestTraining:
         inputs, targets = _load_pairs(cfg)
         _, val_idx = _split_indices(len(inputs), cfg.split_fraction, cfg.seed)
         x, y = _normalized_batch(inputs, targets, val_idx)
-        fresh = UNet(
-            UNetConfig(base_channels=4, in_angles=16, out_angles=64, detector_bins=64),
-            seed=cfg.seed,
-        )
+        fresh = UNet(UNetConfig(base_channels=4), seed=cfg.seed)
         untrained = float(np.mean((fresh.predict(x) - y) ** 2))
         assert history.val_loss[0] < untrained
 
@@ -276,9 +273,7 @@ class TestEvaluate:
         assert result.recon is None
 
     def test_model_predictor_read_only(self, tiny_dataset):
-        model = UNet(
-            UNetConfig(base_channels=2, in_angles=16, out_angles=64, detector_bins=64)
-        )
+        model = UNet(UNetConfig(base_channels=2))
         before = {k: p.data.copy() for k, p in model.params.items()}
         evaluate(model_predictor(model), tiny_dataset)
         for k, p in model.params.items():

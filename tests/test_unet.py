@@ -1,6 +1,9 @@
 """Network assembly: shape laws, init, parameter ledger, checkpoints."""
 
+import dataclasses
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -51,24 +54,29 @@ def layer_arithmetic(base, bottleneck):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = UNetConfig()
-        assert cfg.base_channels == 32
-        assert (cfg.in_angles, cfg.out_angles, cfg.detector_bins) == (32, 128, 128)
-        assert cfg.bottleneck_channels == 512
+        assert [f.name for f in dataclasses.fields(UNetConfig)] == ["base_channels"]
+        assert UNetConfig().base_channels == 32
 
     def test_bottleneck_scales_with_base(self):
-        assert UNetConfig(base_channels=4).bottleneck_channels == 64
+        shapes = dict(unet_mod._layer_table(UNetConfig(base_channels=4)))
+        assert shapes["bottleneck_conv1_w"][0] == shapes["bottleneck_conv2_w"][0] == 64
 
     @pytest.mark.parametrize("kwargs,hint", [
         ({"base_channels": 0}, "base_channels"),
-        ({"out_angles": 96}, "4x"),
-        ({"in_angles": 24, "out_angles": 96}, "divisible by 16"),
-        ({"detector_bins": 100}, "divisible by 16"),
-        ({"bottleneck_channels": 0}, "bottleneck"),
     ])
     def test_rejects_bad_fields(self, kwargs, hint):
         with pytest.raises(ValueError, match=hint):
             UNetConfig(**kwargs)
+
+    @pytest.mark.parametrize("angles,bins", [(24, 128), (32, 100)])
+    def test_extents_must_survive_four_poolings(self, angles, bins):
+        with pytest.raises(ag.ShapeMismatchError, match="divisible by 16"):
+            unet_mod.check_extents(angles, bins)
+        unet_mod.check_extents(angles - angles % 16, bins - bins % 16)
+
+    def test_view_factor_is_the_networks_output_ratio(self):
+        out = UNet(UNetConfig(base_channels=1)).predict(np.zeros((1, 1, 16, 16), np.float32))
+        assert out.shape[2] == unet_mod.VIEW_FACTOR * 16 == 64
 
 
 class TestParameterLedger:
@@ -250,7 +258,7 @@ class TestCheckpoint:
         old = path.read_bytes()
         model = self.small_model(seed=2)
         last = list(model.params)[-1]
-        model.params[last].tensor.data = np.array(["not a number"], dtype=object)
+        model.params[last].data = np.array(["not a number"], dtype=object)
         with pytest.raises(ValueError):
             save_checkpoint(model, path)  # fails after every other array is serialized
         assert path.read_bytes() == old
@@ -316,6 +324,66 @@ class TestCheckpoint:
         bad.write_bytes(blob[:8] + struct.pack("<I", len(doctored)) + doctored + blob[12 + hlen:])
         with pytest.raises(TomoFormatError, match="does not match"):
             load_checkpoint(bad)
+
+    def test_header_config_is_the_width_alone(self, tmp_path):
+        path = tmp_path / "model.sptc"
+        save_checkpoint(self.small_model(), path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        assert json.loads(blob[12 : 12 + hlen])["config"] == {"base_channels": 2}
+
+    @staticmethod
+    def with_header(src, dst, **fields):
+        """Copy checkpoint src to dst with some of its header's fields replaced."""
+        blob = src.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        header = {**json.loads(blob[12 : 12 + hlen]), **fields}
+        text = json.dumps(header, sort_keys=True).encode()
+        dst.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + hlen:])
+
+    # the header older writers gave a base-2 model
+    FIVE_KEYS = {"base_channels": 2, "bottleneck_channels": 32, "detector_bins": 128,
+                 "in_angles": 32, "out_angles": 128}
+
+    @pytest.mark.parametrize("edit", [{}, {"bottleneck_channels": None},
+                                      {"in_angles": 16, "out_angles": 64, "detector_bins": 64}])
+    def test_loads_five_key_headers_bit_for_bit(self, tmp_path, edit):
+        model = self.small_model()
+        for p in model.parameters():
+            p.data = p.data + 0.01
+        path, old = tmp_path / "model.sptc", tmp_path / "old.sptc"
+        save_checkpoint(model, path)
+        self.with_header(path, old, config={**self.FIVE_KEYS, **edit})
+        loaded = load_checkpoint(old)
+        assert loaded.config == model.config
+        x = np.random.default_rng(5).random((1, 1, 16, 64), dtype=np.float32)
+        np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+
+    @pytest.mark.parametrize("edit,error,hint", [
+        ({"in_angles": "32"}, TomoFormatError, "no valid UNetConfig"),
+        ({"bottleneck_channels": 2.5}, TomoFormatError, "no valid UNetConfig"),
+        ({"base_channels": 0}, ValueError, "base_channels"),
+    ], ids=["string-angles", "float-bottleneck", "zero-width"])
+    def test_five_key_headers_keep_their_checks(self, tmp_path, edit, error, hint):
+        path, old = tmp_path / "model.sptc", tmp_path / "old.sptc"
+        save_checkpoint(self.small_model(), path)
+        self.with_header(path, old, config={**self.FIVE_KEYS, **edit})
+        with pytest.raises(error, match=hint):
+            load_checkpoint(old)
+
+    def test_non_default_bottleneck_is_refused(self, tmp_path):
+        # the array table an older writer gave a base-2 model with a 16-wide bottleneck
+        narrow = {"bottleneck_conv1_w": [16, 16, 3, 3], "bottleneck_conv1_b": [16],
+                  "bottleneck_conv2_w": [16, 16, 3, 3], "bottleneck_conv2_b": [16],
+                  "up0_convt_w": [16, 16, 2, 2]}
+        arrays = [[name, narrow.get(name, list(shape))]
+                  for name, shape in unet_mod._layer_table(UNetConfig(base_channels=2))]
+        path, old = tmp_path / "model.sptc", tmp_path / "old.sptc"
+        save_checkpoint(self.small_model(), path)
+        self.with_header(path, old, config={**self.FIVE_KEYS, "bottleneck_channels": 16},
+                         arrays=arrays)
+        with pytest.raises(TomoFormatError, match="does not match"):
+            load_checkpoint(old)
 
     def test_short_file_allocates_no_model(self, tmp_path):
         import json
