@@ -16,7 +16,8 @@ units, so the data are divided by the sinogram's bin width, which is also
 the reconstruction's pixel size.
 
 A multiplicative update keeps a 0 at 0, so the iterate holds only the
-field-of-view pixels and the subset operators are restricted to them.
+field-of-view pixels, the projector's `fov_pixels`, over which its subset
+operators work.
 The columns dropped would only add +0.0 terms to each bin's sum, and every
 kept pixel backprojects the same rows in the same order, so the image and
 every callback frame are bit for bit those of the loop over the whole
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Image, Sinogram, fov_mask
+from .geometry import Image, Sinogram
 from .projector import get_projector
 
 _RATIO_EPS = 1e-12
@@ -77,12 +78,12 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
 
     size = cfg.image_size
     proj = _projector(sino, size, size)
-    pixels = np.flatnonzero(fov_mask(size, size))
+    pixels = proj.fov_pixels
 
     subsets = []
     for k in range(cfg.n_subsets):
         views = np.arange(k, sino.n_angles, cfg.n_subsets)
-        a, a_t = proj.subset_operators(views, pixels)
+        a, a_t = proj.subset_operators(views)
         sens = a_t @ np.ones(views.size * sino.n_bins)
         inv_sens = np.divide(1.0, sens, out=np.zeros_like(sens), where=sens > 0)
         subsets.append((a, a_t, inv_sens, y[views].ravel()))

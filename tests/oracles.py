@@ -6,18 +6,28 @@ one view and the brute-force fine-step line integrals it gives,
 analytic disk profiles, an antialiased disk rasteriser, loop forms of the
 two convolutions, a per-tap loop form of the projector's column
 balancing, a loop form of the detector filter and the forward projection
-through it, the explicit matrix of the projector's stored rows and
-detector filter, and its full-turn operator with a plain OSEM loop over it.
-One entry point is not independent of the package: `osem_full_grid` is
-the package's OSEM loop as it was before it iterated over field-of-view
-pixels only, run on the projector's unrestricted subset operators, so
-the tests can hold the restricted loop to its bits.
+through it, bit-reversed order, the explicit matrix of the projector's
+stored rows and detector filter, and its full-turn operator with a plain
+OSEM loop over it.
+
+Some entry points are not independent of the package, so that the tests
+can hold a faster or smaller form to the bits of a simpler one:
+`stored_matrix` and `raster_rows` reassemble a projector's stored rows
+from its private column blocks; `osem_full_grid` is the package's OSEM
+loop as it was before it iterated over field-of-view pixels only, run on
+full-grid operators made from those rows and the projector's detector
+matrix; and `view_matrix_single_pass` is the projector's one-view build as
+it was before it sampled the rays in chunks, calling the package's own
+column balancing.
 """
 
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
+
+SAMPLE_STEP = 0.25  # the projector's step along a ray, in pixels
+SLOTS = 5  # detector bins a pixel's bilinear taps can reach along any ray
 
 
 def binomial_taps(order: int) -> np.ndarray:
@@ -194,11 +204,42 @@ def effective_view(rows: sp.csr_matrix, n_bins: int, order=6) -> sp.csr_matrix:
     return (rows[:n_bins] + c.tocsr() @ rows[n_bins:]).tocsr()
 
 
+def bit_reversed(n: int) -> np.ndarray:
+    """Position i's entry is i with its log2(n) bits in reverse order; n a power of two."""
+    bits = n.bit_length() - 1
+    if bits == 0:
+        return np.zeros(n, dtype=np.int64)
+    return np.array([int(format(i, f"0{bits}b")[::-1], 2) for i in range(n)])
+
+
+def raster_rows(proj) -> sp.csr_matrix:
+    """A projector's stored rows in stored order, over all pixels in raster order."""
+    cols = np.concatenate([proj.fov_pixels, proj._outside])
+    both = sp.hstack([proj._fov, proj._rest], format="csc")
+    return both[:, np.argsort(cols)].tocsr()
+
+
+def storage_positions(n_stored: int) -> np.ndarray:
+    """Where a projector keeps each stored view: bit-reversed for a power of two, else in order."""
+    return bit_reversed(n_stored) if n_stored & (n_stored - 1) == 0 else np.arange(n_stored)
+
+
+def stored_matrix(proj) -> sp.csr_matrix:
+    """A projector's stored rows with the stored views in natural order.
+
+    Row block v holds stored view v's [core; centre] rows.
+    """
+    rows = raster_rows(proj)
+    per_view = 2 * proj.n_bins
+    positions = storage_positions(rows.shape[0] // per_view)
+    return rows[(positions[:, None] * per_view + np.arange(per_view)).ravel()]
+
+
 def effective_operator(proj) -> sp.csr_matrix:
     """The [stored views * n_bins, pixels] matrix a projector's stored rows apply."""
-    n = proj.n_bins
-    n_views = proj.matrix.shape[0] // (2 * n)
-    views = [effective_view(proj.matrix[2 * n * v : 2 * n * (v + 1)], n) for v in range(n_views)]
+    n, stored = proj.n_bins, stored_matrix(proj)
+    n_views = stored.shape[0] // (2 * n)
+    views = [effective_view(stored[2 * n * v : 2 * n * (v + 1)], n) for v in range(n_views)]
     return sp.vstack(views, format="csr")
 
 
@@ -223,15 +264,21 @@ def forward_by_views(proj, image: np.ndarray) -> np.ndarray:
     """A projector's sinogram computed one stored view at a time.
 
     Each view is its core rows' product plus `filter_loop` of its centre
-    rows' product, then a half-turn projector appends its views with the
-    bins reversed: the order of operations `forward` promises.
+    rows' product, each product the field-of-view columns' sum plus the
+    other columns' sum; then a half-turn projector appends its views with
+    the bins reversed: the order of operations `forward` promises.
     """
     n, x = proj.n_bins, np.asarray(image, dtype=np.float64).ravel()
+    x_fov, x_rest = x[proj.fov_pixels], x[proj._outside]
+
+    def product(first, count):
+        rows = slice(first, first + count)
+        return proj._fov[rows] @ x_fov + proj._rest[rows] @ x_rest
+
     views = []
-    for v in range(proj.matrix.shape[0] // (2 * n)):
-        core = proj.matrix[2 * n * v : 2 * n * v + n] @ x
-        centre = proj.matrix[2 * n * v + n : 2 * n * (v + 1)] @ x
-        views.append(core + filter_loop(centre))
+    for position in storage_positions(proj._fov.shape[0] // (2 * n)):
+        first = 2 * n * position
+        views.append(product(first, n) + filter_loop(product(first + n, n)))
     out = np.array(views)
     if len(views) != proj.n_angles:
         out = np.concatenate([out, out[:, ::-1]])
@@ -270,10 +317,12 @@ def osem_loop(matrix, y, n_bins, n_subsets, n_iterations, x0, eps=1e-12):
 def osem_full_grid(sino, n_subsets, n_iterations, size, callback=None):
     """OSEM with the iterate on the whole [size, size] grid, eps 1e-12.
 
-    The multiplicative update over `subset_operators(views)` with no pixel
-    restriction, starting from the field-of-view mask: the loop whose bits
-    the package's field-of-view iterate must keep. Returns the float32
-    image; callback(it, image) gets a float64 copy after each iteration.
+    The multiplicative update over each subset's full-grid operator, the
+    rows of the projector's detector matrix for the subset's views times
+    all its stored rows over every pixel, starting from the field-of-view
+    mask: the loop whose bits the package's field-of-view iterate must
+    keep. Returns the float32 image; callback(it, image) gets a float64
+    copy after each iteration.
     """
     from sinoquad.geometry import fov_mask
     from sinoquad.projector import get_projector
@@ -281,20 +330,78 @@ def osem_full_grid(sino, n_subsets, n_iterations, size, callback=None):
     y = np.asarray(sino.data, dtype=np.float64) / sino.bin_width
     proj = get_projector(size, size, sino.n_angles, sino.start_angle_deg,
                          sino.angular_range_deg, sino.n_bins)
+    rows, n = raster_rows(proj), sino.n_bins
     subsets = []
     for k in range(n_subsets):
         views = np.arange(k, sino.n_angles, n_subsets)
-        a, a_t = proj.subset_operators(views)
-        sens = a_t @ np.ones(views.size * sino.n_bins)
+        d = proj._detector[(views[:, None] * n + np.arange(n)).ravel()]
+        sens = rows.T @ (d.T @ np.ones(views.size * n))
         inv_sens = np.divide(1.0, sens, out=np.zeros_like(sens), where=sens > 0)
-        subsets.append((a, a_t, inv_sens, y[views].ravel()))
+        subsets.append((d, inv_sens, y[views].ravel()))
 
     x = fov_mask(size, size).astype(np.float64).ravel()
     for it in range(n_iterations):
-        for a, a_t, inv_sens, y_k in subsets:
-            fp = a @ x
+        for d, inv_sens, y_k in subsets:
+            fp = d @ (rows @ x)
             ratio = np.divide(y_k, fp, out=np.zeros_like(fp), where=fp > 1e-12)
-            x = x * (a_t @ ratio) * inv_sens
+            x = x * (rows.T @ (d.T @ ratio)) * inv_sens
         if callback is not None:
             callback(it, x.reshape(size, size).copy())
     return np.maximum(x, 0.0).reshape(size, size).astype(np.float32)
+
+
+def view_matrix_single_pass(theta_deg: float, height: int, width: int, n_bins: int):
+    """One view's stored rows as the projector built them in one pass over all rays.
+
+    The projector's `_view_matrix` before it sampled the rays in chunks of
+    bins: the same sort-free bincount over five detector-bin slots per
+    pixel, over every sample of the view at once, then the package's own
+    `_balance_columns`.
+    """
+    from sinoquad.projector import _balance_columns
+
+    theta = np.deg2rad(theta_deg)
+    es = (np.cos(theta), np.sin(theta))
+    et = (-np.sin(theta), np.cos(theta))
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+
+    offsets = np.arange(n_bins) - (n_bins - 1) / 2.0
+    half_diag = 0.5 * float(np.hypot(height, width))
+    n_steps = int(np.ceil(2.0 * half_diag / SAMPLE_STEP))
+    n_steps += n_steps % 2
+    ts = (np.arange(n_steps) - (n_steps - 1) / 2.0) * SAMPLE_STEP
+
+    px = cx + offsets[:, None] * es[0] + ts[None, :] * et[0]
+    py = cy + offsets[:, None] * es[1] + ts[None, :] * et[1]
+    x0 = np.floor(px)
+    y0 = np.floor(py)
+    keep = (x0 >= -1) & (x0 < width) & (y0 >= -1) & (y0 < height)
+    b = np.broadcast_to(np.arange(n_bins)[:, None], px.shape)[keep]
+    x0, y0 = x0[keep], y0[keep]
+    fx = px[keep] - x0
+    fy = py[keep] - y0
+
+    pw = width + 2
+    yy, xx = np.divmod(np.arange((height + 2) * pw), pw)
+    s_pix = (xx - 1 - cx) * es[0] + (yy - 1 - cy) * es[1]
+    base = np.floor(s_pix + (n_bins - 1) / 2.0).astype(np.int64) - 2
+
+    corner = ((y0 + 1) * pw + (x0 + 1)).astype(np.int64)
+    pix = corner + np.array([0, pw, 1, pw + 1])[:, None]
+    wx, wy = 1.0 - fx, 1.0 - fy
+    vals = np.empty(pix.shape)
+    for tap, (u, v) in enumerate(((wx, wy), (wx, fy), (fx, wy), (fx, fy))):
+        np.multiply(u, v, out=vals[tap])
+    vals *= SAMPLE_STEP
+    slot = b - base[pix]
+
+    grid = (height + 2, pw, SLOTS)
+    keys = (pix * SLOTS + slot).ravel()
+    sums = np.bincount(keys, vals.ravel(), np.prod(grid)).reshape(grid)[1:-1, 1:-1].ravel()
+    taps = np.bincount(keys, None, np.prod(grid)).reshape(grid)[1:-1, 1:-1].ravel()
+    (nz,) = np.nonzero(taps)
+    col = nz // SLOTS
+    rows = base.reshape(grid[:2])[1:-1, 1:-1].ravel()[col] + nz % SLOTS
+    indptr = np.searchsorted(col, np.arange(height * width + 1))
+    mat = sp.csc_matrix((sums[nz], rows, indptr), shape=(n_bins, height * width)).tocsr()
+    return _balance_columns(mat, theta, height, width, n_bins)

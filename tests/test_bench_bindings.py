@@ -14,10 +14,10 @@ import types
 from pathlib import Path
 
 import numpy as np
+from oracles import stored_matrix
 
 import sinoquad
 import sinoquad.autograd as ag
-from sinoquad.geometry import fov_mask
 from sinoquad.osem import ReconConfig
 from sinoquad.projector import get_projector, project
 from sinoquad.simulate import shepp_logan
@@ -34,29 +34,28 @@ def load_tracer():
 
 
 def test_traced_osem_records_projector_spans():
-    # a geometry no other test builds, so the operator memo starts empty:
-    # one another test filled could be cleared at its byte bound mid-run
     size, n_views = 36, 16
     sino = project(shepp_logan(size), n_angles=n_views)
     cfg = ReconConfig(n_subsets=4, n_iterations=1, image_size=size)
     proj = get_projector(size, size, n_views)
-    pixels = np.flatnonzero(fov_mask(size, size))
     osem = sinoquad.osem
-    tracer = load_tracer().Tracer()
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
     tracer.install()
     try:
         sinoquad.osem(sino, cfg)
-        built = dict(proj._operators)
-        assert len(built) >= 4
-        sinoquad.osem(sino, cfg)  # every subset operator now comes from the memo
-        assert all(proj._operators[key] is op for key, op in built.items())
+        sinoquad.osem(sino, cfg)
     finally:
         tracer.uninstall()
     assert sinoquad.osem is osem
 
-    restricted = [proj.subset_operators(np.arange(k, n_views, 4), pixels)[0].nnz for k in range(4)]
-    full = [proj.subset_operators(np.arange(k, n_views, 4))[0].nnz for k in range(4)]
-    assert all(r < f for r, f in zip(restricted, full))
+    operators = [proj.subset_operators(np.arange(k, n_views, 4))[0] for k in range(4)]
+    restricted = [op.nnz for op in operators]
+    # the stored rows read, over the field of view only: subset k reads stored views k and k + 4
+    full = stored_matrix(proj)
+    for k, op in enumerate(operators):
+        rows = (np.array([k, k + 4])[:, None] * 2 * size + np.arange(2 * size)).ravel()
+        assert 0 < op.factors[1].nnz < full[rows].nnz
     roots = [s for s in tracer.spans if s[2] == "osem.osem"]
     assert len(roots) == 2
     for root in roots:
@@ -67,6 +66,9 @@ def test_traced_osem_records_projector_spans():
         assert all(s[5]["nnz"] > 0 for s in products)
         # one forward per subset per iteration, each over the field of view's pixels only
         assert [s[5]["nnz"] for s in children if s[2] == "projector.forward"] == restricted
+    # a projector without a `matrix` attribute: its operator over every view
+    assert tracer_module.nnz([proj]) == proj.subset_operators(range(n_views))[0].nnz
+    assert tracer_module.stored_mb([proj]) > 0.0
 
 
 def test_traced_projector_miss_records_one_build_span():

@@ -168,6 +168,22 @@ class TestExitCodes:
         assert rec.pixel_size == 1e9
         assert np.isfinite(rec.data).all() and (rec.data >= 0).all()
 
+    def test_recon_size_over_the_memory_budget_is_data_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "sino.sptb"
+        write_tomo(path, Sinogram(np.ones((8, 32), dtype=np.float32)))
+
+        def no_build(*args):
+            raise AssertionError("a projector over the budget started to allocate")
+
+        # the refusal must come before the first per-pixel array
+        monkeypatch.setattr(projector, "fov_mask", no_build)
+        monkeypatch.setattr(projector, "_view_matrix", no_build)
+        out = tmp_path / "rec.sptb"
+        assert main(["recon", "--in", str(path), "--size", "20000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "budget" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,field", [
         (["--start", "nan"], "start_angle_deg"),
         (["--start", "inf"], "start_angle_deg"),

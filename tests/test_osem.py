@@ -8,7 +8,7 @@ so it runs once as a module fixture.
 import numpy as np
 import pytest
 
-from oracles import osem_full_grid, osem_loop, stacked_operator
+from oracles import osem_full_grid, osem_loop, stacked_operator, stored_matrix
 from sinoquad.geometry import Image, Sinogram, fov_mask
 from sinoquad.metrics import ssim
 from sinoquad.osem import ReconConfig, log_likelihood, mlem, osem
@@ -169,7 +169,7 @@ class TestHalfTurnFold:
         osem(sino, cfg, callback=lambda it, img: frames.append(img))
 
         proj = get_projector(size, size, n_views)
-        assert proj.matrix.shape[0] == n_views // 2 * 2 * size
+        assert stored_matrix(proj).shape[0] == n_views // 2 * 2 * size
         y = np.asarray(sino.data, dtype=np.float64).ravel()
         ref = osem_loop(stacked_operator(proj), y, size, n_subsets, 5,
                         fov_mask(size, size).astype(np.float64).ravel())
@@ -207,24 +207,22 @@ class TestFieldOfViewIterate:
             assert frame.dtype == ref_frame.dtype and frame.shape == ref_frame.shape
             np.testing.assert_array_equal(bits(frame), bits(ref_frame))
 
-    def test_subset_cache_stays_within_the_matrix_bytes(self):
-        size, n_views = 40, 16  # a geometry of its own, so its cache starts empty
-        sino = project(shepp_logan(size), n_angles=n_views)
+    def test_subset_operators_share_the_stored_rows(self):
+        # every interleaved subset of a power-of-two subset count reads one
+        # run of stored views, so each call's operators are row ranges of
+        # the stored block, built anew and holding no copy of it
+        size, n_views = 40, 16
         proj = get_projector(size, size, n_views)
-        pixels = np.flatnonzero(fov_mask(size, size))
-        matrix_bytes = sum(getattr(proj.matrix, k).nbytes for k in ("data", "indices", "indptr"))
-        for n_subsets in (1, 2, 4, 8):
-            osem(sino, ReconConfig(n_subsets=n_subsets, n_iterations=1, image_size=size))
-            cached = proj._operators.values()
-            assert cached
-            held = sum(getattr(f, k).nbytes for op in cached for f in op.factors
-                       if f is not proj.matrix for k in ("data", "indices", "indptr"))
-            assert held <= matrix_bytes, n_subsets
-            # the call osem made is served again from memory, not sliced anew
-            views = np.arange(0, n_views, n_subsets)
-            first, _ = proj.subset_operators(views, pixels)
-            again, again_t = proj.subset_operators(views, pixels)
-            for f, g in zip(first.factors, again.factors):
-                assert np.shares_memory(f.data, g.data) and np.shares_memory(f.indices, g.indices)
-            for f, g in zip(first.factors, reversed(again_t.factors)):
-                assert np.shares_memory(f.data, g.data)
+        stored = proj._fov
+        for n_subsets in (1, 2, 4, 8, 16):
+            starts = []
+            for k in range(n_subsets):
+                a, a_t = proj.subset_operators(np.arange(k, n_views, n_subsets))
+                rows = a.factors[1]
+                for m in (rows, a_t.factors[0]):
+                    assert np.shares_memory(m.data, stored.data)
+                    assert np.shares_memory(m.indices, stored.indices)
+                starts.append(rows.data.__array_interface__["data"][0])
+                assert rows.shape[0] * min(n_subsets, 8) == stored.shape[0]
+            # 8 stored views: views k and k + 8 read the same one
+            assert len(set(starts)) == min(n_subsets, 8)
