@@ -68,9 +68,12 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
     """
     if cfg is None:
         cfg = ReconConfig()
-    y = np.asarray(sino.data, dtype=np.float64) / sino.bin_width  # to pixel-unit integrals
+    with np.errstate(over="ignore"):  # refused below, naming the bin width
+        y = np.asarray(sino.data, dtype=np.float64) / sino.bin_width  # to pixel-unit integrals
     if np.any(y < 0):
         raise ValueError("sinogram has negative entries")
+    if not np.isfinite(y).all():
+        raise ValueError(f"bin_width {sino.bin_width} takes the data past the float64 range")
     if sino.n_angles % cfg.n_subsets != 0:
         raise ValueError(
             f"n_subsets={cfg.n_subsets} does not divide n_angles={sino.n_angles}"
@@ -102,8 +105,10 @@ def osem(sino: Sinogram, cfg: ReconConfig | None = None, callback=None) -> Image
         if callback is not None:
             callback(it, on_grid(x))
 
-    out = on_grid(np.maximum(x, 0.0)).astype(np.float32)
-    return Image(out, pixel_size=sino.bin_width)
+    out = on_grid(np.maximum(x, 0.0))
+    if out.max() > np.finfo(np.float32).max:
+        raise ValueError(f"at bin_width {sino.bin_width} the image exceeds the float32 range")
+    return Image(out.astype(np.float32), pixel_size=sino.bin_width)
 
 
 def mlem(sino: Sinogram, n_iterations: int = 20, image_size: int = 128, callback=None) -> Image:
@@ -115,8 +120,15 @@ def mlem(sino: Sinogram, n_iterations: int = 20, image_size: int = 128, callback
 def log_likelihood(sino: Sinogram, image: Image) -> float:
     """Poisson data log-likelihood sum(y*ln(Ax) - Ax), up to the y! constant.
 
-    Bins with Ax == 0 contribute -inf when y > 0 and 0 when y == 0.
+    Bins with Ax == 0 contribute -inf when y > 0 and 0 when y == 0. The
+    projector's bins are one pixel wide, so the image's pixel size must be
+    the sinogram's bin width.
     """
+    if image.pixel_size != sino.bin_width:
+        raise ValueError(
+            f"image pixel_size {image.pixel_size} does not match sinogram "
+            f"bin_width {sino.bin_width}"
+        )
     y = np.asarray(sino.data, dtype=np.float64).ravel()
     fp = _projector(sino, image.height, image.width).forward(image.data).ravel() * sino.bin_width
     if np.any((fp <= 0) & (y > 0)):

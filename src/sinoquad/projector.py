@@ -62,8 +62,8 @@ The stored rows are two CSR blocks over the columns of the field-of-view
 pixels (`fov_pixels`) and of the rest, written view by view straight into
 arrays sized by an upper bound on their entries (`stored_bytes_bound`),
 then trimmed in place, so a build holds one copy of its rows. A geometry
-whose bound exceeds a fixed byte budget is refused before anything is
-allocated.
+whose bound, plus a fixed allowance per pixel for a view's build, exceeds
+a fixed byte budget is refused before anything is allocated.
 
 What the detector reads from the stored rows, the half-turn fold and the
 filter C together, is one sparse matrix D per geometry, built with the
@@ -98,12 +98,19 @@ _TAPER = np.array([comb(_BALANCE_ORDER, k) for k in range(_BALANCE_ORDER + 1)], 
 _TAPER /= _TAPER.sum()  # taps k/64: a whole window sums to exactly 1.0
 _SLOTS = 5  # detector bins a pixel's bilinear taps can reach along any ray
 _CHUNK_BINS = 32  # rays sampled at once by a view's build
-# Refuse a geometry whose stored arrays could exceed 1 GiB. The paper's
-# geometry (128 x 128 px, 128 views) is bounded at 60 MB, so the budget
-# leaves room for a 256-px, 256-view geometry (bounded at 443 MB) and
-# refuses what a host with a few GB free could not build. Entry counts
+# Refuse a geometry whose stored arrays and build could exceed 1 GiB. The
+# paper's geometry (128 x 128 px, 128 views) is bounded at 71 MB, so the
+# budget leaves room for a 256-px, 256-view geometry (bounded at 487 MB)
+# and refuses what a host with a few GB free could not build. The largest
+# square image accepted is 1223 px at one or two views, 857 px at 32 views
+# and 525 px at 128 views, with one bin per pixel column. Entry counts
 # under it fit int32 indices.
-_STORED_BYTES_BUDGET = 1 << 30
+_BYTES_BUDGET = 1 << 30
+# A build's working memory besides its stored arrays: one view's sampling,
+# balancing and row split, and the previous view's rows. tracemalloc read
+# at most 651, 561, 525 and 509 bytes per pixel at 128, 256, 512 and
+# 1024 px, over 2 and 8 views and 32 bins or one per pixel column.
+_BUILD_BYTES_PER_PIXEL = 660
 _CACHE_SIZE = 8
 
 
@@ -409,8 +416,8 @@ class ParallelProjector:
     as a prefix of that projector's stored rows, so it pins that
     projector's arrays while it lives, even after the cache lets go of
     the finer projector. `stored_bytes_bound` bounds the bytes of every
-    array a projector holds; over 1 GiB the constructor raises ValueError
-    before it allocates any.
+    array a projector holds; when that and a view's build memory could
+    exceed 1 GiB, the constructor raises ValueError before it allocates.
     """
 
     def __init__(
@@ -435,11 +442,12 @@ class ParallelProjector:
         self._n_stored = n_angles // 2 if folded else n_angles
         self.stored_bytes_bound = _stored_bytes_bound(n_angles, self._n_stored, height, width,
                                                       self.n_bins)
-        if self.stored_bytes_bound > _STORED_BYTES_BUDGET:
+        build_bytes = self.stored_bytes_bound + _BUILD_BYTES_PER_PIXEL * height * width
+        if build_bytes > _BYTES_BUDGET:
             raise ValueError(
                 f"a {height}x{width} projector with {n_angles} views of {self.n_bins} bins "
-                f"may store {self.stored_bytes_bound / 2**20:.0f} MiB, over the "
-                f"{_STORED_BYTES_BUDGET / 2**20:.0f} MiB budget"
+                f"may store {self.stored_bytes_bound / 2**20:.0f} MiB and build with "
+                f"{build_bytes / 2**20:.0f} MiB, over the {_BYTES_BUDGET / 2**20:.0f} MiB budget"
             )
         angles = view_angles_deg(n_angles, start_angle_deg, angular_range_deg)[: self._n_stored]
         self._positions = _storage_positions(self._n_stored)

@@ -3,8 +3,9 @@
 Each input sinogram is divided by its own max before entering the
 network; the paired target is divided by the same scale so the model
 maps relative intensities and outputs return to counts by multiplying
-the scale back. Split, shuffling, and weight init all come off seeded
-counter-based streams, so a run is reproducible end to end.
+the scale back. Training pairs are scaled once, as they are read.
+Split, shuffling, and weight init all come off seeded counter-based
+streams, so a run is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -121,20 +122,29 @@ class TrainHistory:
         write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True).encode("utf-8"))
 
 
-def _load_pairs(cfg: TrainConfig):
-    rows = read_manifest(cfg.manifest)
-    if cfg.noise is not None:
-        rows = [r for r in rows if r.get("noise") == cfg.noise]
+def _select_rows(manifest, noise: str | None) -> list[dict]:
+    """The manifest's rows, only those of one noise label when given; never empty."""
+    rows = read_manifest(manifest)
+    if noise is not None:
+        rows = [r for r in rows if r.get("noise") == noise]
     if not rows:
-        raise ValueError(f"no usable training pairs in {cfg.manifest}")
+        raise ValueError(f"no pairs in {manifest}" + (f" for noise={noise}" if noise else ""))
+    return rows
+
+
+def _load_pairs(cfg: TrainConfig):
+    """Stacked (inputs, targets), each pair divided by its input's max as it is read."""
     root = Path(cfg.manifest).parent
     inputs, targets = [], []
-    for row in rows:
+    for row in _select_rows(cfg.manifest, cfg.noise):
         path = root / row["input"]
-        inputs.append(read_tomo_as(path, Sinogram).data)
-        if not inputs[-1].max() > 0.0:  # the rule normalize applies at inference
-            raise ValueError(f"{path}: cannot normalize an all-zero sinogram")
-        targets.append(read_tomo_as(root / row["target"], Sinogram).data)
+        noisy = read_tomo_as(path, Sinogram)
+        try:
+            x, scale = normalize(noisy)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+        inputs.append(x)
+        targets.append(read_tomo_as(root / row["target"], Sinogram).data / scale)
     in_shape = inputs[0].shape
     out_shape = targets[0].shape
     if any(a.shape != in_shape for a in inputs) or any(
@@ -154,11 +164,11 @@ def _split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.n
     return order[:n_train], order[n_train:]
 
 
-def _normalized_batch(inputs, targets, idx):
-    scales = inputs[idx].reshape(len(idx), -1).max(axis=1)[:, None, None]
-    x = (inputs[idx] / scales)[:, None]
-    y = (targets[idx] / scales)[:, None]
-    return x.astype(np.float32), y.astype(np.float32)
+def _batches(inputs, targets, order, batch_size):
+    """(x, y) of each run of batch_size indices of order, as [B, 1, H, W] stacks."""
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        yield inputs[idx][:, None], targets[idx][:, None]
 
 
 def train(cfg: TrainConfig, verbose: bool = True) -> tuple[UNet, TrainHistory]:
@@ -177,9 +187,7 @@ def train(cfg: TrainConfig, verbose: bool = True) -> tuple[UNet, TrainHistory]:
     for epoch in range(cfg.epochs):
         order = train_idx[stream(cfg.seed, epoch, PURPOSE_SHUFFLE).permutation(len(train_idx))]
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x, y = _normalized_batch(inputs, targets, idx)
+        for x, y in _batches(inputs, targets, order, cfg.batch_size):
             out = model.forward(x, training=True)
             loss = ag.mse_loss(out, ag.Tensor(y))
             loss.backward()
@@ -214,18 +222,17 @@ def _validate(model, inputs, targets, val_idx, batch_size):
         return None, {}
     losses, reports = [], []
     with ag.no_grad():
-        for start in range(0, len(val_idx), batch_size):
-            idx = val_idx[start : start + batch_size]
-            x, y = _normalized_batch(inputs, targets, idx)
+        for x, y in _batches(inputs, targets, val_idx, batch_size):
             pred = model.forward(x, training=False).data
             losses.append(float(np.mean((pred - y) ** 2)))
-            for k in range(len(idx)):
-                reports.append(MetricsReport.from_pair(y[k, 0], pred[k, 0]))
-    agg = {
-        key: float(np.mean([r.to_dict()[key] for r in reports]))
-        for key in ("mape", "mse", "ssim", "psnr")
-    }
-    return float(np.mean(losses)), agg
+            reports += [MetricsReport.from_pair(y[k, 0], pred[k, 0]) for k in range(len(y))]
+    return float(np.mean(losses)), _mean_scores(reports)
+
+
+def _mean_scores(reports: list[MetricsReport]) -> dict[str, float]:
+    """Each score's mean over reports, keyed mape, mse, ssim and psnr."""
+    return {key: float(np.mean([getattr(r, key) for r in reports]))
+            for key in ("mape", "mse", "ssim", "psnr")}
 
 
 def model_predictor(model: UNet):
@@ -260,22 +267,6 @@ class EvalResult:
             "recon": self.recon.to_dict() if self.recon else None,
             "recon_standard": self.recon_standard.to_dict() if self.recon_standard else None,
         }
-
-
-def _aggregate(results: list[EvalResult], arm: str, metadata: dict) -> MetricsReport | None:
-    """Mean of one arm's reports over pairs; None when the arm was not scored."""
-    reports = [getattr(r, arm) for r in results]
-    if reports[0] is None:
-        return None
-    meta = dict(metadata)
-    meta["n_pairs"] = len(reports)
-    return MetricsReport(
-        mape=float(np.mean([r.mape for r in reports])),
-        mse=float(np.mean([r.mse for r in reports])),
-        ssim=float(np.mean([r.ssim for r in reports])),
-        psnr=float(np.mean([r.psnr for r in reports])),
-        metadata=meta,
-    )
 
 
 def compare(
@@ -319,15 +310,9 @@ def evaluate(
     include_recon, image-space too: OSEM of the prediction and OSEM of
     the raw sparse-view input, each scored against the phantom.
     """
-    rows = read_manifest(manifest)
-    if noise is not None:
-        rows = [r for r in rows if r.get("noise") == noise]
-    if not rows:
-        raise ValueError(f"no evaluation pairs in {manifest}" + (f" for noise={noise}" if noise else ""))
     root = Path(manifest).parent
-    meta = {"noise": noise or "all"}
-    results = []
-    for row in rows:
+    pair_reports = []  # per pair: the sinogram, recon and recon_standard reports
+    for row in _select_rows(manifest, noise):
         phantom = read_tomo_as(root / row["phantom"], Image) if include_recon else None
         _, result, _ = compare(
             predict,
@@ -336,7 +321,9 @@ def evaluate(
             phantom,
             recon_config,
         )
-        results.append(result)
-    return EvalResult(
-        *(_aggregate(results, arm, meta) for arm in ("sinogram", "recon", "recon_standard"))
-    )
+        pair_reports.append((result.sinogram, result.recon, result.recon_standard))
+    meta = {"noise": noise or "all", "n_pairs": len(pair_reports)}
+    return EvalResult(*(
+        None if reports[0] is None else MetricsReport(**_mean_scores(reports), metadata=dict(meta))
+        for reports in zip(*pair_reports)
+    ))

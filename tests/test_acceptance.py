@@ -22,7 +22,7 @@ import pytest
 import sinoquad.autograd as ag
 from oracles import brute_force_view, disk_image
 from sinoquad.cli import main
-from sinoquad.geometry import Image, Sinogram, fov_mask, fov_radius
+from sinoquad.geometry import Image, Sinogram
 from sinoquad.io_formats import (
     BadMagicError,
     TruncatedFileError,
@@ -30,7 +30,7 @@ from sinoquad.io_formats import (
     write_tomo,
     export_pgm,
 )
-from sinoquad.metrics import MetricsReport, ssim
+from sinoquad.metrics import MetricsReport
 from sinoquad.osem import ReconConfig, log_likelihood, mlem, osem
 from sinoquad.projector import get_projector, project
 from sinoquad.simulate import (
@@ -47,7 +47,7 @@ from sinoquad.trainer import (
     replication_predictor,
     train,
 )
-from sinoquad.unet import UNet, UNetConfig
+from sinoquad.unet import UNet
 
 _SCALES = {
     "reduced": dict(train_pairs=240, test_pairs=60, epochs=25),

@@ -169,20 +169,22 @@ class TestExitCodes:
         assert np.isfinite(rec.data).all() and (rec.data >= 0).all()
 
     def test_recon_size_over_the_memory_budget_is_data_error(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "sino.sptb"
-        write_tomo(path, Sinogram(np.ones((8, 32), dtype=np.float32)))
-
         def no_build(*args):
             raise AssertionError("a projector over the budget started to allocate")
 
         # the refusal must come before the first per-pixel array
         monkeypatch.setattr(projector, "fov_mask", no_build)
         monkeypatch.setattr(projector, "_view_matrix", no_build)
-        out = tmp_path / "rec.sptb"
-        assert main(["recon", "--in", str(path), "--size", "20000", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "budget" in err
-        assert not out.exists()
+        # 20000 px stores over the budget; 4000 px at one stored view may store
+        # 858 MiB, under it, but its per-pixel build allowance adds 9.8 GiB
+        for n_views, flags in ((8, ["--size", "20000"]), (2, ["--size", "4000", "--subsets", "2"])):
+            path = tmp_path / "sino.sptb"
+            write_tomo(path, Sinogram(np.ones((n_views, 32), dtype=np.float32)))
+            out = tmp_path / "rec.sptb"
+            assert main(["recon", "--in", str(path), *flags, "--out", str(out)]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error: data:") and "budget" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("flags,field", [
         (["--start", "nan"], "start_angle_deg"),
@@ -360,6 +362,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "input_" in err
         assert ("expected a sinogram" if kind == "image" else "all-zero") in err
+        assert not (tmp_path / "m.sptc").exists()
+
+    def test_targets_not_four_times_the_views_are_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["dataset", "--count", "2", "--size", "16", "--in-views", "16",
+                     "--out-views", "32", "--out", str(data)]) == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"manifest = {data / 'manifest.jsonl'}\nbase_channels = 2\n"
+                       f"checkpoint_path = {tmp_path / 'm.sptc'}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "4x-angle partner" in err
         assert not (tmp_path / "m.sptc").exists()
 
     @pytest.mark.parametrize("line", [

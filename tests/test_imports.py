@@ -1,4 +1,5 @@
-"""Every import and every private module-level name in the package is used.
+"""Every import in the package and in its tests, and every private
+module-level name in the package, is used.
 
 An import counts as used when the module reads the bound name somewhere
 or lists it in __all__ (a re-export). A private name (one leading
@@ -16,6 +17,7 @@ import pytest
 import sinoquad
 
 MODULES = sorted(Path(sinoquad.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,7 +69,7 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 3: gammaln"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

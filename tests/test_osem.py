@@ -154,6 +154,20 @@ class TestPhysicalUnits:
         expected = float((y[pos] * np.log(y[pos])).sum() - y.sum())
         assert log_likelihood(sino, phantom) == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("bin_width,hint", [(3.6e-304, "float32"), (1e-310, "float64")])
+    def test_tiny_bin_width_is_refused(self, bin_width, hint):
+        # pixel-unit data past float64, or an image past float32, is a data error
+        sino = Sinogram(np.full((16, 16), 50.0, dtype=np.float32), bin_width=bin_width)
+        with pytest.raises(ValueError, match=f"bin_width {bin_width}.*{hint}"):
+            osem(sino, ReconConfig(n_iterations=1, image_size=16))
+
+    @pytest.mark.parametrize("pixel_size", [0.5, 2.0])
+    def test_log_likelihood_rejects_a_pixel_size_unlike_the_bin_width(self, pixel_size):
+        sino = project(shepp_logan(64), n_angles=16)
+        image = Image(shepp_logan(64).data, pixel_size=pixel_size)
+        with pytest.raises(ValueError, match=f"pixel_size {pixel_size}.*bin_width 1.0"):
+            log_likelihood(sino, image)
+
 
 class TestHalfTurnFold:
     @pytest.mark.parametrize("n_views,n_subsets,size", [

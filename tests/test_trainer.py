@@ -17,7 +17,6 @@ from sinoquad.trainer import (
     EvalResult,
     TrainConfig,
     _load_pairs,
-    _normalized_batch,
     _split_indices,
     compare,
     denormalize,
@@ -196,7 +195,7 @@ class TestTraining:
         model, history = train(cfg, verbose=False)
         inputs, targets = _load_pairs(cfg)
         _, val_idx = _split_indices(len(inputs), cfg.split_fraction, cfg.seed)
-        x, y = _normalized_batch(inputs, targets, val_idx)
+        x, y = inputs[val_idx][:, None], targets[val_idx][:, None]
         fresh = UNet(UNetConfig(base_channels=4), seed=cfg.seed)
         untrained = float(np.mean((fresh.predict(x) - y) ** 2))
         assert history.val_loss[0] < untrained
@@ -230,10 +229,11 @@ class TestTraining:
         cfg = TrainConfig(manifest=str(out / "manifest.jsonl"), noise="medium")
         inputs, _ = _load_pairs(cfg)
         assert len(inputs) == 2  # levels cycle low/medium/high
+        assert inputs.max(axis=(1, 2)).tolist() == [1.0, 1.0]  # scaled as read
 
     def test_empty_dataset_rejected(self, tmp_path):
         write_manifest(tmp_path / "manifest.jsonl", [])
-        with pytest.raises(ValueError, match="no usable training pairs"):
+        with pytest.raises(ValueError, match="no pairs in"):
             train(TrainConfig(manifest=str(tmp_path / "manifest.jsonl")), verbose=False)
 
     def test_inconsistent_shapes_rejected(self, tiny_dataset, tmp_path):
