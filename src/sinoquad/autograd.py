@@ -28,6 +28,12 @@ Every reduction has a fixed order:
 
 Single-threaded runs are therefore bit-reproducible; the bits of a GEMM
 depend on the BLAS thread count.
+
+backward() consumes the graph it runs through: once an op's backward has
+run, its output drops its gradient, its backward and its parents, so a
+training step holds one graph, not the last step's as well. Only leaves
+(inputs and Parameters) keep .grad. A second backward() that reaches a
+consumed op raises RuntimeError rather than losing gradients silently.
 """
 
 from __future__ import annotations
@@ -115,7 +121,10 @@ class Tensor:
         return self.data.size
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph."""
+        """Backpropagate from this tensor, consuming the recorded graph.
+
+        Leaves accumulate into .grad; every op output reached is released.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
         if grad is None:
@@ -148,22 +157,32 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            parent_grads = node._backward(node.grad)
-            for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
-                    continue
-                # an op computes in its operands' widest dtype; a parent keeps its own
-                pgrad = pgrad.astype(parent.data.dtype, copy=False)
-                if parent.grad is None:
-                    parent.grad = pgrad
-                else:
-                    parent.grad = parent.grad + pgrad
+        while order:
+            # popped, so a node the caller does not hold is freed once its children are
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
+                parent_grads = node._backward(node.grad)
+                for parent, pgrad in zip(node._parents, parent_grads):
+                    if pgrad is None or not parent.requires_grad:
+                        continue
+                    # an op computes in its operands' widest dtype; a parent keeps its own
+                    pgrad = pgrad.astype(parent.data.dtype, copy=False)
+                    if parent.grad is None:
+                        parent.grad = pgrad
+                    else:
+                        parent.grad = parent.grad + pgrad
+            node.grad = None
+            node._parents = ()
+            node._backward = _consumed
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g: np.ndarray):
+    raise RuntimeError("graph already consumed by backward()")
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -480,10 +499,9 @@ def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); NaN maps to 0 and the subgradient at 0 is 0."""
     x = _require_tensor(x, "input")
     out = np.fmax(x.data, x.data.dtype.type(0))
-    mask = out > 0
 
     def backward(g: np.ndarray):
-        return (g * mask,)
+        return (g * (out > 0),)
 
     return _from_op(out, (x,), backward)
 

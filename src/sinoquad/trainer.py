@@ -10,6 +10,8 @@ streams, so a run is reproducible end to end.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -171,13 +173,42 @@ def _batches(inputs, targets, order, batch_size):
         yield inputs[idx][:, None], targets[idx][:, None]
 
 
+# glibc's mallopt parameters (malloc.h) and the values train sets
+_M_TRIM_THRESHOLD, _TRIM_THRESHOLD = -1, 1 << 30
+_M_MMAP_THRESHOLD, _MMAP_THRESHOLD = -3, 32 << 20
+
+
+def _libc():
+    return ctypes.CDLL(None)
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep the heap a training step frees for the next step, once per process.
+
+    A step frees nearly all it allocates. With glibc's default thresholds the
+    freed top of the heap is returned to the OS after every step and faulted
+    back in by the next, thousands of minor page faults a step; fixed
+    thresholds keep it mapped. A libc without mallopt is left as it is.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def train(cfg: TrainConfig, verbose: bool = True) -> tuple[UNet, TrainHistory]:
     """Fit the network on manifest pairs; returns (model, history).
 
     The checkpoint at cfg.checkpoint_path always holds the weights of the
-    best-validation epoch seen so far.
+    best-validation epoch seen so far. On glibc, the process keeps freed
+    heap for reuse from the first call on.
     """
     t0 = time.perf_counter()
+    _keep_freed_heap()
     inputs, targets = _load_pairs(cfg)
     n = len(inputs)
     train_idx, val_idx = _split_indices(n, cfg.split_fraction, cfg.seed)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -350,6 +352,34 @@ class TestLossAndGraph:
             [x, w],
         )
         assert err <= 1e-4
+
+    def test_backward_frees_the_graph_it_consumed(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+
+        def build():
+            # only the loss leaves this frame
+            conv = conv2d(x, w)
+            act = relu(conv)
+            loss = mse_loss(act, Tensor(np.zeros(act.shape)))
+            return loss, [weakref.ref(conv.data), weakref.ref(act.data)]
+
+        loss, refs = build()
+        loss.backward()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert loss.grad is None and loss._parents == ()
+        assert x.grad is not None and w.grad is not None  # leaves keep theirs
+
+    @pytest.mark.parametrize("second", ["other loss on a shared relu", "same loss"])
+    def test_backward_through_a_consumed_graph_raises(self, rng, second):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        shared = relu(x)
+        loss = mse_loss(shared, Tensor(np.zeros((2, 3))))
+        again = loss if second == "same loss" else mse_loss(shared, Tensor(np.ones((2, 3))))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="graph already consumed by backward"):
+            again.backward()
 
     def test_no_grad_blocks_graph(self, rng):
         x = Tensor(rng.standard_normal((1, 1, 4, 4)), requires_grad=True)

@@ -6,10 +6,12 @@ the whole file runs in well under a minute on one core.
 
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
+import sinoquad.trainer as trainer_mod
 from sinoquad.io_formats import read_manifest, read_tomo, write_manifest, write_tomo
 from sinoquad.geometry import Sinogram
 from sinoquad.simulate import PhantomRecipe, make_dataset
@@ -249,6 +251,42 @@ class TestTraining:
         write_manifest(bad / "manifest.jsonl", rows[:2])
         with pytest.raises(ValueError, match="inconsistent|4x-angle"):
             train(TrainConfig(manifest=str(bad / "manifest.jsonl")), verbose=False)
+
+
+class TestKeepFreedHeap:
+    """train's allocator setting, against fake libcs; the real heap is never changed."""
+
+    @pytest.fixture
+    def use_libc(self, monkeypatch):
+        def install(libc):
+            monkeypatch.setattr(trainer_mod, "_libc", lambda: libc)
+            trainer_mod._keep_freed_heap.cache_clear()
+
+        yield install
+        trainer_mod._keep_freed_heap.cache_clear()
+
+    @staticmethod
+    def train_twice(manifest):
+        cfg = TrainConfig(manifest=str(manifest), epochs=1, batch_size=4, base_channels=2)
+        for _ in range(2):
+            _, history = train(cfg, verbose=False)
+            assert np.isfinite(history.train_loss).all()
+
+    def test_sets_both_thresholds_once_per_process(self, tiny_dataset, use_libc):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        use_libc(types.SimpleNamespace(mallopt=mallopt))
+        self.train_twice(tiny_dataset)
+        # M_TRIM_THRESHOLD is -1 and M_MMAP_THRESHOLD is -3 in glibc's malloc.h
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+    def test_no_op_without_mallopt(self, tiny_dataset, use_libc):
+        use_libc(object())
+        self.train_twice(tiny_dataset)
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,26 @@ class TestForwardSemantics:
                 preds.append(out.data.tobytes())
             runs.append((preds, [p.data.tobytes() for p in model.parameters()]))
         assert runs[0] == runs[1]
+
+    def test_training_steps_hold_one_graph(self):
+        # out and loss are rebound each step, as in trainer.train; backward
+        # frees each step's graph, so no step holds the last one's
+        rng = np.random.default_rng(8)
+        x = rng.random((2, 1, 32, 128), dtype=np.float32)
+        target = rng.random((2, 1, 128, 128), dtype=np.float32)
+        model = UNet(UNetConfig(base_channels=2), seed=5)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                out = model.forward(x, training=True)
+                loss = ag.mse_loss(out, ag.Tensor(target))
+                loss.backward()
+                ag.adam_step(model.parameters(), lr=1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= 1.25 * peaks[0]
 
 
 # Three same-seed Adam steps of a base-2 UNet; prints the SHA-1 of the
