@@ -116,10 +116,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor, consuming the recorded graph.
 
@@ -560,8 +556,9 @@ class Parameter(Tensor):
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.m = np.zeros_like(self.data)
-        self.v = np.zeros_like(self.data)
+        # np.zeros leaves the pages unwritten, so moments cost no memory until Adam's first step
+        self.m = np.zeros(self.data.shape, self.data.dtype)
+        self.v = np.zeros(self.data.shape, self.data.dtype)
         self.step = 0
 
     def __repr__(self):

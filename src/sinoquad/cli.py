@@ -17,7 +17,7 @@ from pathlib import Path
 from .geometry import Image, Sinogram
 from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, read_tomo_as
 from .io_formats import write_atomic, write_tomo
-from .metrics import MetricsReport, format_table
+from .metrics import SCORES, MetricsReport, format_table
 from .osem import ReconConfig, osem
 from .simulate import (
     NOISE_LEVELS,
@@ -41,6 +41,7 @@ from .unet import VIEW_FACTOR, check_extents, load_checkpoint
 _DATA_DIR_ENV = "SINOQUAD_DATA_DIR"
 _DENSE_VIEWS = 128  # reproduce's reference and its sparse arm's view counts
 _SPARSE_VIEWS = _DENSE_VIEWS // VIEW_FACTOR
+_SCORE_TITLES = [title for title, _ in SCORES.values()]
 
 
 class UsageError(Exception):
@@ -148,7 +149,7 @@ def cmd_eval(args) -> int:
     if args.table:
         print(
             format_table(
-                ["", "MAPE (%)", "MSE", "SSIM", "PSNR (dB)"],
+                ["", *_SCORE_TITLES],
                 [["pair"] + report.row()],
             )
         )
@@ -246,12 +247,12 @@ def cmd_reproduce(args) -> int:
         export_pgm(out_dir / f"{name}.pgm", obj.data)
 
     denoise_table = format_table(
-        ["Method", "MAPE (%)", "MSE", "SSIM", "PSNR (dB)"],
+        ["Method", *_SCORE_TITLES],
         [[name] + r.row() for name, r in denoise_rows.items()],
         title=f"Sinogram denoising (noise={args.noise})",
     )
     recon_table = format_table(
-        ["Method", "MSE", "SSIM", "PSNR (dB)"],
+        ["Method", *_SCORE_TITLES[1:]],  # MAPE is a sinogram score only
         [[name] + r.row()[1:] for name, r in recon_rows.items()],
         title=f"OSEM reconstruction (noise={args.noise})",
     )

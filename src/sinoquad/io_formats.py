@@ -40,6 +40,7 @@ __all__ = [
     "RawImportError",
     "write_atomic",
     "write_tomo",
+    "read_container",
     "read_tomo",
     "read_tomo_as",
     "import_raw",
@@ -48,7 +49,6 @@ __all__ = [
     "read_manifest",
 ]
 
-MAGIC_PREFIX = b"SPTB"
 MAGIC = b"SPTB0001"
 KIND_IMAGE = 0
 KIND_SINOGRAM = 1
@@ -120,19 +120,30 @@ def write_tomo(path, obj) -> None:
     write_atomic(path, header + data.tobytes())
 
 
-def read_tomo(path):
-    """Read an SPTB file back into an Image or Sinogram."""
+def read_container(path, magic: bytes) -> bytes:
+    """path's bytes, once they hold a 12-byte fixed header starting with magic.
+
+    magic is eight ASCII bytes: a four-byte format tag, then the four-byte
+    version this reader supports. SPTB files and SPTC checkpoints share it.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 12:
         raise TruncatedFileError(
             f"{path}: only {len(blob)} bytes, fixed header needs 12 (offset 0)"
         )
-    if blob[:4] != MAGIC_PREFIX:
+    if blob[:4] != magic[:4]:
         raise BadMagicError(f"{path}: bad magic {blob[:8]!r} at offset 0")
-    if blob[4:8] != MAGIC[4:8]:
+    if blob[4:8] != magic[4:8]:
         raise UnsupportedVersionError(
-            f"{path}: version {blob[4:8]!r} at offset 4, this reader supports 0001"
+            f"{path}: version {blob[4:8]!r} at offset 4, this reader supports "
+            f"{magic[4:8].decode('ascii')}"
         )
+    return blob
+
+
+def read_tomo(path):
+    """Read an SPTB file back into an Image or Sinogram."""
+    blob = read_container(path, MAGIC)
     kind, dtype, ndim, pad = struct.unpack_from("<BBBB", blob, 8)
     if kind not in (KIND_IMAGE, KIND_SINOGRAM):
         raise TomoFormatError(f"{path}: unknown kind {kind} at offset 8")

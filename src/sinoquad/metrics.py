@@ -13,7 +13,7 @@ scored only where the reference is meaningfully populated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -24,6 +24,14 @@ _SSIM_K1 = 0.01
 _SSIM_K2 = 0.03
 _PEAK = 1.0
 _MAPE_TAU_FRACTION = 0.01
+
+# MetricsReport's scores in table order: name -> (column title, cell format)
+SCORES = {
+    "mape": ("MAPE (%)", ".2f"),
+    "mse": ("MSE", ".4f"),
+    "ssim": ("SSIM", ".3f"),
+    "psnr": ("PSNR (dB)", ".2f"),
+}
 
 
 def _as_pair(ref, est) -> tuple[np.ndarray, np.ndarray]:
@@ -122,18 +130,11 @@ class MetricsReport:
                    metadata={"masked_bins": n_masked})
 
     def to_dict(self) -> dict:
-        return {
-            "mape": self.mape,
-            "mse": self.mse,
-            "ssim": self.ssim,
-            "psnr": self.psnr,
-            "metadata": dict(self.metadata),
-        }
+        return asdict(self)
 
     def row(self) -> list[str]:
-        """Formatted cell values in MAPE/MSE/SSIM/PSNR order."""
-        psnr_txt = "inf" if math.isinf(self.psnr) else f"{self.psnr:.2f}"
-        return [f"{self.mape:.2f}", f"{self.mse:.4f}", f"{self.ssim:.3f}", psnr_txt]
+        """Formatted cell values in SCORES order."""
+        return [format(getattr(self, name), spec) for name, (_, spec) in SCORES.items()]
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

@@ -176,19 +176,18 @@ _SHEPP_LOGAN = (
 )
 
 
-def shepp_logan(size: int = 128, _table=None) -> Image:
+def shepp_logan(size: int = 128) -> Image:
     """Shepp-Logan head phantom, clipped to >= 0 and max-normalised.
 
     Rendered with 4x antialiasing so the pixel mass tracks the analytic
-    ellipse areas closely. Row 0 is the top of the head. _table overrides
-    the ellipse parameters (testing hook).
+    ellipse areas closely. Row 0 is the top of the head.
     """
     if size < 16:
         raise ValueError(f"size must be >= 16, got {size}")
     factor = 4
     scale = size / 2.0  # unit coordinates to pixels
     ellipses = []
-    for val, a, b, x0, y0, rot in (_SHEPP_LOGAN if _table is None else _table):
+    for val, a, b, x0, y0, rot in _SHEPP_LOGAN:
         # y axis points up in the parameter table, down in array rows
         ellipses.append((x0 * scale, -y0 * scale, a * scale, b * scale, -rot, val))
     data = _render_ellipses(size, ellipses, factor=factor)
@@ -228,15 +227,9 @@ def subsample_views(sino: Sinogram, factor: int) -> Sinogram:
     return dataclasses.replace(sino, data=sino.data[::factor].copy())
 
 
-def _level_for_index(noise: str, index: int) -> str:
-    if noise == "mixed":
-        return ("low", "medium", "high")[index % 3]
-    return noise
-
-
 def _dataset_item(recipe: PhantomRecipe, index: int, noise: str, out_dir: str,
                   in_views: int, out_views: int) -> dict:
-    label = _level_for_index(noise, index)
+    label = list(NOISE_LEVELS)[index % len(NOISE_LEVELS)] if noise == "mixed" else noise
     phantom = generate_phantom(recipe, index)
     target = project(phantom, out_views)
     clean_in = subsample_views(target, out_views // in_views)
@@ -272,8 +265,8 @@ def make_dataset(
 ) -> Path:
     """Generate (noisy input, clean target, phantom) triples plus a manifest.
 
-    noise is "low", "medium", "high", or "mixed" (cycling the three levels
-    by index). Items are independent, so they are split across
+    noise is a NOISE_LEVELS label, or "mixed" (cycling NOISE_LEVELS in
+    order by index). Items are independent, so they are split across
     min(jobs, count, CPUs) processes with the same output bytes.
     Returns the manifest path (out_dir/manifest.jsonl).
     """

@@ -14,6 +14,7 @@ import ctypes
 import functools
 import json
 import time
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .geometry import Image, Sinogram
 from .io_formats import read_manifest, read_tomo_as, write_atomic
-from .metrics import MetricsReport
+from .metrics import SCORES, MetricsReport
 from .osem import ReconConfig, osem
 from .rng import PURPOSE_SHUFFLE, PURPOSE_SPLIT, stream
 from .unet import VIEW_FACTOR, UNet, UNetConfig, save_checkpoint
@@ -49,7 +50,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     split_fraction: float = 0.9
     seed: int = 0
-    base_channels: int = 32
+    base_channels: int = UNetConfig.base_channels
     noise: str | None = None  # train on one label only; None = all rows
     checkpoint_path: str | None = None
     history_path: str | None = None
@@ -63,26 +64,17 @@ class TrainConfig:
             raise ValueError("split_fraction must be in (0, 1)")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.base_channels < 1:
-            raise ValueError("base_channels must be >= 1")
-
-
-_CONFIG_TYPES = {
-    "manifest": str,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "split_fraction": float,
-    "seed": int,
-    "base_channels": int,
-    "noise": str,
-    "checkpoint_path": str,
-    "history_path": str,
-}
+        UNetConfig(self.base_channels)  # checks the width
 
 
 def load_train_config(path) -> TrainConfig:
-    """Parse a flat key=value file ('#' starts a comment) into TrainConfig."""
+    """Parse a flat key=value file ('#' starts a comment) into TrainConfig.
+
+    The keys are TrainConfig's fields; a value is read as its field's type,
+    T for a field typed T | None.
+    """
+    kinds = {key: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+             for key, hint in typing.get_type_hints(TrainConfig).items()}
     values: dict[str, object] = {}
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,11 +84,11 @@ def load_train_config(path) -> TrainConfig:
             raise ValueError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in kinds:
             raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
         if not value:
             raise ValueError(f"{path}:{ln}: config key {key!r} has no value")
-        kind = _CONFIG_TYPES[key]
+        kind = kinds[key]
         try:
             values[key] = kind(value)
         except ValueError:
@@ -252,18 +244,16 @@ def _validate(model, inputs, targets, val_idx, batch_size):
     if len(val_idx) == 0:
         return None, {}
     losses, reports = [], []
-    with ag.no_grad():
-        for x, y in _batches(inputs, targets, val_idx, batch_size):
-            pred = model.forward(x, training=False).data
-            losses.append(float(np.mean((pred - y) ** 2)))
-            reports += [MetricsReport.from_pair(y[k, 0], pred[k, 0]) for k in range(len(y))]
+    for x, y in _batches(inputs, targets, val_idx, batch_size):
+        pred = model.predict(x)
+        losses.append(float(np.mean((pred - y) ** 2)))
+        reports += [MetricsReport.from_pair(y[k, 0], pred[k, 0]) for k in range(len(y))]
     return float(np.mean(losses)), _mean_scores(reports)
 
 
 def _mean_scores(reports: list[MetricsReport]) -> dict[str, float]:
-    """Each score's mean over reports, keyed mape, mse, ssim and psnr."""
-    return {key: float(np.mean([getattr(r, key) for r in reports]))
-            for key in ("mape", "mse", "ssim", "psnr")}
+    """Each score's mean over reports, keyed by its name."""
+    return {key: float(np.mean([getattr(r, key) for r in reports])) for key in SCORES}
 
 
 def model_predictor(model: UNet):
@@ -293,11 +283,7 @@ class EvalResult:
     recon_standard: MetricsReport | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "sinogram": self.sinogram.to_dict(),
-            "recon": self.recon.to_dict() if self.recon else None,
-            "recon_standard": self.recon_standard.to_dict() if self.recon_standard else None,
-        }
+        return asdict(self)
 
 
 def compare(

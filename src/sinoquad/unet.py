@@ -26,17 +26,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autograd as ag
-from .io_formats import (
-    BadMagicError,
-    TomoFormatError,
-    TruncatedFileError,
-    UnsupportedVersionError,
-    write_atomic,
-)
+from .io_formats import TomoFormatError, TruncatedFileError, read_container, write_atomic
 from .rng import PURPOSE_INIT, stream
 
 CHECKPOINT_MAGIC = b"SPTC0001"
-_NORMALIZATION = "per_sinogram_max"
+# header fields with the one value every checkpoint holds: the payload's
+# sample type and the input scaling the weights were trained under
+_FIXED_HEADER = {"dtype": "f32", "normalization": "per_sinogram_max"}
 # UNetConfig fields that older checkpoints carry; read for their types only
 _DROPPED_CONFIG_KEYS = ("in_angles", "out_angles", "detector_bins", "bottleneck_channels")
 
@@ -178,12 +174,7 @@ class UNet:
 
 def save_checkpoint(model: UNet, path) -> None:
     arrays = [(name, list(p.data.shape)) for name, p in model.params.items()]
-    header = {
-        "config": asdict(model.config),
-        "normalization": _NORMALIZATION,
-        "dtype": "f32",
-        "arrays": arrays,
-    }
+    header = {"config": asdict(model.config), **_FIXED_HEADER, "arrays": arrays}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob]
     parts += [np.ascontiguousarray(p.data, dtype="<f4").tobytes() for p in model.params.values()]
@@ -191,19 +182,7 @@ def save_checkpoint(model: UNet, path) -> None:
 
 
 def load_checkpoint(path) -> UNet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise TruncatedFileError(
-            f"checkpoint {path} has only {len(blob)} bytes, fixed header needs 12"
-        )
-    if blob[:4] != CHECKPOINT_MAGIC[:4]:
-        raise BadMagicError(f"bad checkpoint magic {blob[:4]!r} in {path}")
-    if blob[4:8] != CHECKPOINT_MAGIC[4:]:
-        raise UnsupportedVersionError(
-            f"checkpoint version {blob[4:8]!r}; this reader supports "
-            f"{CHECKPOINT_MAGIC[4:]!r}"
-        )
+    blob = read_container(path, CHECKPOINT_MAGIC)
     (header_len,) = struct.unpack_from("<I", blob, 8)
     if len(blob) < 12 + header_len:
         raise TruncatedFileError(f"checkpoint {path} truncated inside the header")
@@ -219,6 +198,11 @@ def load_checkpoint(path) -> UNet:
                 for k, v in config.items())
     ):
         raise TomoFormatError(f"checkpoint {path} header has no valid UNetConfig object")
+    for key, value in _FIXED_HEADER.items():
+        if header.get(key) != value:
+            raise TomoFormatError(
+                f"checkpoint {path} header has {key} {header.get(key)!r}, expected {value!r}"
+            )
     # the dropped keys were fixed by the data or by base_channels; a
     # non-default bottleneck shows up below as a mismatched array table
     config = UNetConfig(**{k: v for k, v in config.items() if k not in _DROPPED_CONFIG_KEYS})

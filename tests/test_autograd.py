@@ -28,6 +28,10 @@ def rand64(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
+def ones(*shape):
+    return Tensor(np.ones(shape), requires_grad=True)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -340,6 +344,12 @@ class TestLossAndGraph:
         err = gradient_check(lambda: mse_loss(pred, target), [pred])
         assert err <= 1e-4
 
+    def test_mse_gradient_reaches_a_target_that_requires_grad(self, rng):
+        pred = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        target = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        err = gradient_check(lambda: mse_loss(pred, target), [pred, target])
+        assert err <= 1e-4
+
     def test_grad_accumulates_over_reuse(self, rng):
         # same tensor feeding two branches must receive the summed gradient
         x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
@@ -394,6 +404,27 @@ class TestLossAndGraph:
         with pytest.raises(RuntimeError):
             relu(x).backward()
 
+    @pytest.mark.parametrize("call,error,hint", [
+        (lambda: relu(np.ones(3)), TypeError, "must be a Tensor"),
+        (lambda: conv2d(ones(1, 4, 4), ones(1, 1, 3, 3)), ShapeMismatchError, "must be 4-D"),
+        (lambda: conv2d(ones(1, 1, 4, 4), ones(2, 1, 3, 3), ones(3)), ShapeMismatchError,
+         "bias shape"),
+        (lambda: conv_transpose2d(ones(1, 1, 2, 2), ones(1, 1, 2, 2), stride=2),
+         ShapeMismatchError, "must be a pair"),
+        (lambda: conv_transpose2d(ones(1, 1, 2, 2), ones(1, 1, 3, 3)), ShapeMismatchError,
+         r"\[C_in,C_out,2,2\]"),
+        (lambda: conv_transpose2d(ones(1, 2, 2, 2), ones(3, 1, 2, 2)), ShapeMismatchError,
+         "channel mismatch"),
+        (lambda: mse_loss(ones(2, 3), ones(3, 2)), ShapeMismatchError, "shape mismatch"),
+        (lambda: relu(ones(2, 3)).backward(np.ones((3, 2))), ShapeMismatchError,
+         "seed gradient shape"),
+        (lambda: Tensor(np.ones(1)).backward(), RuntimeError, "does not require grad"),
+    ], ids=["non-tensor", "not-4d", "bias-shape", "stride-not-a-pair", "convt-weight-shape",
+            "convt-channels", "mse-shapes", "seed-gradient-shape", "no-grad"])
+    def test_malformed_operands_are_refused(self, call, error, hint):
+        with pytest.raises(error, match=hint):
+            call()
+
 
 class TestMixedDtypes:
     OPS = {
@@ -416,6 +447,12 @@ class TestMixedDtypes:
         mse_loss(out, Tensor(np.zeros(out.shape, out.dtype))).backward()
         for t in (x, w, b):
             assert t.grad.dtype == t.dtype
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_])
+    def test_non_float_input_becomes_float32(self, dtype):
+        t = Tensor(np.array([0, 1, 1], dtype=dtype))
+        assert t.dtype == np.float32
+        np.testing.assert_array_equal(t.data, [0.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_float32_parameters_stay_float32_under_float64_input(self, rng, op):

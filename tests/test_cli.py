@@ -216,7 +216,10 @@ class TestExitCodes:
         lambda h: {**h, "config": {**h["config"], "base_channels": "1"}},
         lambda h: {**h, "arrays": 5},
         lambda h: [h],
-    ], ids=["extra-config-key", "string-base-channels", "arrays-not-a-list", "header-is-a-list"])
+        lambda h: {**h, "dtype": "f16"},
+        lambda h: {**h, "normalization": "none"},
+    ], ids=["extra-config-key", "string-base-channels", "arrays-not-a-list", "header-is-a-list",
+            "f16-dtype", "unknown-normalization"])
     def test_malformed_checkpoint_header_is_data_error(self, tmp_path, capsys, edit):
         good = tmp_path / "good.sptc"
         save_checkpoint(UNet(UNetConfig(base_channels=1)), good)

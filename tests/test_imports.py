@@ -1,12 +1,15 @@
 """Every import in the package and in its tests, and every private
-module-level name in the package, is used.
+module-level name in the package, is used; no public function in the
+package takes a private parameter.
 
 An import counts as used when the module reads the bound name somewhere
 or lists it in __all__ (a re-export). A private name (one leading
 underscore, not a dunder) bound at module level by an assignment, def or
 class must be read in its own module; other modules may not need it, so
-an unread one is a leftover. Checked with the standard library's ast
-module, so the check needs no linter.
+an unread one is a leftover. A parameter with a leading underscore on a
+public function or method is a hook for tests that callers can still
+pass; tests patch the module instead. Checked with the standard
+library's ast module, so the check needs no linter.
 """
 
 import ast
@@ -85,3 +88,32 @@ def test_checker_flags_an_unread_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def private_parameters(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("_") and not node.name.startswith("__"):
+            continue  # a private function's parameters are its own business
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        found += [f"line {node.lineno}: {node.name}({a.arg})" for a in params
+                  if a.arg.startswith("_")]
+    return found
+
+
+def test_checker_flags_a_private_parameter():
+    # shepp_logan's signature when it took a table for one test
+    source = ("def shepp_logan(size: int = 128, _table=None) -> Image:\n    pass\n"
+              "def _render(_grid):\n    pass\n"
+              "class Tensor:\n    def __init__(self, data, *, _op=None):\n        pass\n")
+    assert private_parameters(source) == ["line 1: shepp_logan(_table)",
+                                          "line 6: __init__(_op)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_parameters(path):
+    assert private_parameters(path.read_text()) == []

@@ -154,6 +154,12 @@ class TestPhysicalUnits:
         expected = float((y[pos] * np.log(y[pos])).sum() - y.sum())
         assert log_likelihood(sino, phantom) == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("counts,expected", [(0.0, 0.0), (50.0, float("-inf"))])
+    def test_log_likelihood_of_an_empty_image(self, counts, expected):
+        # a bin the image projects nothing into adds 0 without counts, -inf with them
+        sino = Sinogram(np.full((16, 16), counts, dtype=np.float32))
+        assert log_likelihood(sino, Image(np.zeros((16, 16), dtype=np.float32))) == expected
+
     @pytest.mark.parametrize("bin_width,hint", [(3.6e-304, "float32"), (1e-310, "float64")])
     def test_tiny_bin_width_is_refused(self, bin_width, hint):
         # pixel-unit data past float64, or an image past float32, is a data error

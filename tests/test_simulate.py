@@ -91,7 +91,7 @@ class TestSheppLogan:
         expect = sum(v * np.pi * (a * r) * (b * r) for v, a, b, _, _, _ in _SHEPP_LOGAN) / 2.0
         assert abs(float(img.sum()) - expect) <= 0.01 * expect
 
-    def test_mirrored_table_renders_mirrored_image(self):
+    def test_mirrored_table_renders_mirrored_image(self, monkeypatch):
         # the canonical table is not left-right symmetric (the two lateral
         # cavities and the three small bottom blobs differ), so symmetry is
         # checked through the renderer: mirror the parameters, get fliplr
@@ -99,7 +99,8 @@ class TestSheppLogan:
             (val, a, b, -x0, y0, -rot) for val, a, b, x0, y0, rot in _SHEPP_LOGAN
         )
         base = shepp_logan(128).data
-        flipped = shepp_logan(128, _table=mirrored).data
+        monkeypatch.setattr(simulate, "_SHEPP_LOGAN", mirrored)
+        flipped = shepp_logan(128).data
         np.testing.assert_allclose(np.fliplr(base), flipped, atol=1e-6)
 
     def test_canonical_table_is_actually_asymmetric(self):
@@ -110,6 +111,11 @@ class TestSheppLogan:
         img = shepp_logan(64).data
         assert img.shape == (64, 64)
         assert img.max() == np.float32(1.0)
+
+    @pytest.mark.parametrize("size", [8, 15])
+    def test_size_below_16_is_refused(self, size):
+        with pytest.raises(ValueError, match=">= 16"):
+            shepp_logan(size)
 
 
 class TestNoiseLevels:

@@ -80,6 +80,30 @@ class TestConfig:
         assert out.shape[2] == unet_mod.VIEW_FACTOR * 16 == 64
 
 
+BUILD_RSS = """
+from sinoquad.unet import UNet, UNetConfig
+
+def vm_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+before = vm_rss()
+model = UNet(UNetConfig(base_channels=32))
+print(vm_rss() - before, sum(p.data.nbytes for p in model.parameters()))
+"""
+
+
+def run_python(code: str) -> str:
+    """stdout of code run by a fresh interpreter on this package, at one BLAS thread."""
+    # BLAS reads its thread count when it loads, so it is pinned in the environment
+    src = str(Path(unet_mod.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=300).stdout.strip()
+
+
 class TestParameterLedger:
     def test_default_count_frozen_value(self):
         assert layer_arithmetic(32, 512) == 7_804_769
@@ -103,6 +127,13 @@ class TestParameterLedger:
                 limit = np.sqrt(6.0 / fan_in)
                 assert np.abs(p.data).max() <= limit
                 assert np.abs(p.data).max() > 0.5 * limit  # actually spread out
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_adam_moments_take_no_memory_until_written(self):
+        # weights plus two written moment buffers would be three times the weights
+        grown, weights = map(int, run_python(BUILD_RSS).split())
+        assert weights > 25e6
+        assert grown < 2 * weights, f"building grew VmRSS by {grown / weights:.2f}x the weights"
 
     def test_init_deterministic_per_seed(self):
         a = UNet(UNetConfig(base_channels=2), seed=9)
@@ -242,17 +273,8 @@ print(hashlib.sha1(b"".join(p.data.tobytes() for p in model.parameters())).hexdi
 
 
 def test_same_seed_steps_byte_identical_across_processes_at_one_blas_thread():
-    # BLAS reads its thread count when it loads, so it is pinned in the
-    # environment; results at different thread counts may differ
-    src = str(Path(unet_mod.__file__).resolve().parents[1])
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
-    digests = [
-        subprocess.run([sys.executable, "-c", TRAIN_STEPS], env=env, capture_output=True,
-                       text=True, check=True, timeout=300).stdout.strip()
-        for _ in range(2)
-    ]
+    # results at different BLAS thread counts may differ
+    digests = [run_python(TRAIN_STEPS) for _ in range(2)]
     assert len(digests[0]) == 40
     assert digests[0] == digests[1]
 
@@ -379,6 +401,17 @@ class TestCheckpoint:
         assert loaded.config == model.config
         x = np.random.default_rng(5).random((1, 1, 16, 64), dtype=np.float32)
         np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+
+    @pytest.mark.parametrize("fields", [
+        {"dtype": "f16"}, {"normalization": "per_sinogram_mean"}, {"dtype": None},
+    ], ids=["f16", "mean-normalized", "null-dtype"])
+    def test_header_dtype_and_normalization_are_checked(self, tmp_path, fields):
+        path, bad = tmp_path / "model.sptc", tmp_path / "bad.sptc"
+        save_checkpoint(self.small_model(), path)
+        self.with_header(path, bad, **fields)
+        (key, value), = fields.items()
+        with pytest.raises(TomoFormatError, match=f"{key} {value!r}"):
+            load_checkpoint(bad)
 
     @pytest.mark.parametrize("edit,error,hint", [
         ({"in_angles": "32"}, TomoFormatError, "no valid UNetConfig"),
