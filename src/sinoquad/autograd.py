@@ -26,6 +26,13 @@ Every reduction has a fixed order:
   Both are the orders of numpy's mean, so the two agree bit for bit.
 - ReLU is fmax(x, 0), so NaN maps to 0.
 
+conv2d(x, w, b, relu=True) adds the bias and applies the ReLU in place on
+its own output, with the same bits as relu(conv2d(x, w, b)). The graph
+then keeps one activation per layer, the ReLU's output, which is also the
+backward pass's mask; no pre-activation is saved. A convolution's backward
+pass drops each temporary (masked gradient, ringed copies, full-grid
+gradient) as soon as it has been read.
+
 Single-threaded runs are therefore bit-reproducible; the bits of a GEMM
 depend on the BLAS thread count.
 
@@ -216,24 +223,38 @@ def _check_bias(bias, c_out: int, op: str) -> Optional[Tensor]:
     return bias
 
 
-def _conv_op(out: np.ndarray, x: Tensor, weight: Tensor, bias: Optional[Tensor], grads) -> Tensor:
-    """Record a convolution's output, plus its bias, as a node of the graph.
+def _conv_op(out: np.ndarray, x: Tensor, weight: Tensor, bias: Optional[Tensor], grads,
+             relu: bool = False) -> Tensor:
+    """Record a convolution's output, plus its bias and an optional ReLU, as a node of the graph.
 
     out is the op's own buffer or a strided view of one. A contiguous out
-    takes the bias in place; any other is copied, with the bias added in the
-    same pass, into a new contiguous array. grads(g) returns (gx, gw); a
-    bias is the third parent, and its gradient sums g over batch and space.
+    takes the bias and the ReLU in place; any other is first copied, with
+    the bias added in the same pass, into a new contiguous array. The node
+    keeps that one array, so a fused ReLU saves no pre-activation: its
+    backward masks g where the output is not positive, as relu's does.
+
+    grads(held) pops the output gradient, masked, from the one-item list
+    held, so that it can drop it once it is used, and returns (gx, gw). A
+    bias is the third parent; its gradient sums the masked g over batch
+    and space.
     """
     if bias is None:
-        return _from_op(np.ascontiguousarray(out), (x, weight), grads)
+        data = np.ascontiguousarray(out)
+    else:
+        dest = out if out.flags.c_contiguous else np.empty(out.shape, out.dtype)
+        data = np.add(out, bias.data[None, :, None, None], out=dest)
+    if relu:
+        np.fmax(data, data.dtype.type(0), out=data)
 
     def backward(g: np.ndarray):
-        gb = g.sum(axis=(0, 2, 3)) if bias.requires_grad else None
-        return grads(g) + (gb,)
+        if relu:
+            g = g * (data > 0)
+        gb = g.sum(axis=(0, 2, 3)) if bias is not None and bias.requires_grad else None
+        held = [g]
+        del g
+        return grads(held) + (gb,)  # zip with two parents drops a bias-less op's None
 
-    dest = out if out.flags.c_contiguous else np.empty(out.shape, out.dtype)
-    data = np.add(out, bias.data[None, :, None, None], out=dest)
-    return _from_op(data, (x, weight, bias), backward)
+    return _from_op(data, (x, weight) if bias is None else (x, weight, bias), backward)
 
 
 def _grid(shape, k: int) -> tuple[int, list[int]]:
@@ -295,11 +316,14 @@ def _correlate(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
     return out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd].transpose(1, 0, 2, 3)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool = False) -> Tensor:
     """Cross-correlate x [B,C_in,H,W] with weight [C_out,C_in,kh,kw].
 
     Zero "same" padding, stride 1, odd square kernels only. Output is
-    [B,C_out,H,W].
+    [B,C_out,H,W]. The bias is added, and with relu=True fmax(., 0) is
+    applied, in place on the op's own output, bit for bit as
+    relu(conv2d(x, weight, bias)); the graph then keeps only the activated
+    output, which the backward pass reads as relu's mask.
     """
     x = _require_4d(x, "input", "conv2d")
     weight = _require_4d(weight, "weight", "conv2d")
@@ -314,30 +338,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeMismatchError(f"conv2d kernel must be odd and square, got {kh}x{kw}")
     bias = _check_bias(bias, c_out, "conv2d")
 
-    def grads(g: np.ndarray):
-        gx = gw = None
+    def grads(held: list):
+        # each temporary is dropped once read: besides the incoming gradient,
+        # at most two grid-sized arrays are alive at once
+        g = held.pop()
+        shape = g.shape
         gf = _ringed(g, kh)  # one copy serves both products
-        if x.requires_grad:
-            # full correlation with the flipped kernel, channels swapped
-            gx = np.ascontiguousarray(
-                _correlate(gf, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], g.shape)
-            )
+        del g
+        gx = gw = None
         if weight.requires_grad:
             # g's pixel at column q + offsets[centre] meets tap t of x at q + offsets[t];
             # the zero ring of gf masks every q that is not an output pixel
-            grid, offsets = _grid(g.shape, kh)
+            grid, offsets = _grid(shape, kh)
             gs = gf[:, offsets[len(offsets) // 2] :]
             xf = _ringed(x.data, kh)  # rebuilt: keeping the forward's costs a copy of x a layer
-            taps = np.zeros((kh * kw, c_out, c_in), dtype=g.dtype)
-            n = _tile_columns(c_in + c_out, g.itemsize)
+            taps = np.zeros((kh * kw, c_out, c_in), dtype=gf.dtype)
+            n = _tile_columns(c_in + c_out, gf.itemsize)
             for c0 in range(0, grid, n):
                 gt = gs[:, c0 : min(c0 + n, grid)]
                 for t, off in enumerate(offsets):
                     taps[t] += gt @ xf[:, c0 + off : c0 + off + gt.shape[1]].T
+            del xf
             gw = np.ascontiguousarray(taps.reshape(kh, kw, c_out, c_in).transpose(2, 3, 0, 1))
+        if x.requires_grad:
+            # full correlation with the flipped kernel, channels swapped
+            gx = _correlate(gf, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], shape)
+            del gf
+            gx = np.ascontiguousarray(gx)
         return gx, gw
 
-    return _conv_op(_correlate(_ringed(x.data, kh), weight.data, x.shape), x, weight, bias, grads)
+    out = _correlate(_ringed(x.data, kh), weight.data, x.shape)
+    return _conv_op(out, x, weight, bias, grads, relu)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +489,8 @@ def conv_transpose2d(
         else:
             win += plane
 
-    def grads(g: np.ndarray):
-        return _convt_grads(g, weight.data, sh, sw, h, wd,
+    def grads(held: list):
+        return _convt_grads(held.pop(), weight.data, sh, sw, h, wd,
                             x.data if weight.requires_grad else None, x.requires_grad)
 
     return _conv_op(out, x, weight, bias, grads)

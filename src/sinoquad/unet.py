@@ -108,13 +108,23 @@ def _he_uniform(gen, shape: tuple[int, ...]) -> np.ndarray:
 class UNet:
     """The assembled model; immutable once trained, cheap to rebuild."""
 
-    def __init__(self, config: UNetConfig | None = None, seed: int = 0):
+    def __init__(self, config: UNetConfig | None = None, seed: int = 0,
+                 weights: dict[str, np.ndarray] | None = None):
+        """Weights are He-uniform draws from seed's stream and biases zero,
+        unless weights maps every parameter name to its array, which is
+        copied and nothing is drawn."""
         self.config = config or UNetConfig()
         self.seed = int(seed)
         gen = stream(self.seed, 0, PURPOSE_INIT)
         self.params: dict[str, ag.Parameter] = {}
         for name, shape in _layer_table(self.config):
-            if name.endswith("_b"):
+            if weights is not None:
+                data = np.array(weights[name], dtype=np.float32)
+                if data.shape != shape:
+                    raise ag.ShapeMismatchError(
+                        f"weight {name!r} has shape {data.shape}, expected {shape}"
+                    )
+            elif name.endswith("_b"):
                 data = np.zeros(shape, dtype=np.float32)
             else:
                 data = _he_uniform(gen, shape)
@@ -137,7 +147,7 @@ class UNet:
 
         def block(h, tag):
             w, b = self._pair(tag)
-            return ag.relu(ag.conv2d(h, w, b))
+            return ag.conv2d(h, w, b, relu=True)
 
         h = t
         skips = []
@@ -224,7 +234,4 @@ def load_checkpoint(path) -> UNet:
         offset = end
     if offset != len(blob):
         raise TomoFormatError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
-    model = UNet(config)
-    for name, arr in arrays.items():
-        model.params[name].data = arr.copy()
-    return model
+    return UNet(config, weights=arrays)

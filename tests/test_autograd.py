@@ -152,6 +152,61 @@ class TestConv2d:
         np.testing.assert_array_equal(w.data, wc)
 
 
+class TestConv2dFusedRelu:
+    SPECIAL = [np.nan, -0.0, 0.0, np.inf, -np.inf]
+
+    @staticmethod
+    def both_ways(x, w, b, seed):
+        """Output and gradients of x, w and b for the fused op, then for relu(conv2d)."""
+        results = []
+        for fused in (True, False):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b) if a is not None]
+            xt, wt, bt = leaves + [None] * (3 - len(leaves))
+            out = conv2d(xt, wt, bt, relu=True) if fused else relu(conv2d(xt, wt, bt))
+            out.backward(seed)
+            results.append([out.data] + [t.grad for t in leaves])
+        return results
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("c_in,k", [(3, 3), (1, 1)], ids=["3x3", "1x1-identity"])
+    def test_bits_match_relu_of_conv(self, rng, dtype, with_bias, c_in, k):
+        x = rng.standard_normal((2, c_in, 5, 7)).astype(dtype)
+        x[0, :, 1, 1:6] = self.SPECIAL
+        w = rng.standard_normal((4, c_in, k, k)).astype(dtype)
+        if k == 1:
+            w[0] = 1  # channel 0's pre-activations are x itself: NaN, -0.0, 0.0, +-inf
+        b = rng.standard_normal(4).astype(dtype) if with_bias else None
+        seed = rng.standard_normal((2, 4, 5, 7)).astype(dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make the NaNs under test
+            fused, unfused = self.both_ways(x, w, b, seed)
+            if k == 1 and not with_bias:
+                pre = conv2d(Tensor(x), Tensor(w)).data[0, 0, 1, 1:6]
+                assert pre.tobytes() == np.array(self.SPECIAL, dtype).tobytes()
+        assert len(fused) == len(unfused) == 3 + with_bias
+        for got, want in zip(fused, unfused):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradients(self, rng):
+        x = rand64(rng, 2, 2, 5, 6)
+        w = rand64(rng, 3, 2, 3, 3)
+        b = rand64(rng, 3)
+        target = Tensor(np.zeros((2, 3, 5, 6)))
+        err = gradient_check(lambda: mse_loss(conv2d(x, w, b, relu=True), target), [x, w, b])
+        assert err <= 1e-4
+
+    def test_second_backward_through_a_fused_node_raises(self, rng):
+        x = rand64(rng, 1, 2, 4, 4)
+        w = rand64(rng, 3, 2, 3, 3)
+        shared = conv2d(x, w, relu=True)
+        loss = mse_loss(shared, Tensor(np.zeros(shared.shape)))
+        again = mse_loss(shared, Tensor(np.ones(shared.shape)))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="graph already consumed by backward"):
+            again.backward()
+
+
 class TestConvTranspose2d:
     def test_single_pixel_stride2(self):
         x = Tensor(np.ones((1, 1, 1, 1)))

@@ -18,6 +18,7 @@ from oracles import stored_matrix
 
 import sinoquad
 import sinoquad.autograd as ag
+import sinoquad.unet as unet
 from sinoquad.osem import ReconConfig
 from sinoquad.projector import get_projector, project
 from sinoquad.simulate import shepp_logan
@@ -110,6 +111,9 @@ def test_traced_train_step_records_autograd_spans():
         out = model.forward(x, training=True)
         ag.mse_loss(out, ag.Tensor(target)).backward()
         ag.adam_step(model.parameters())
+        # the network fuses each ReLU into its conv2d, so relu is called here
+        act = ag.relu(ag.Tensor(target - 0.5, requires_grad=True))
+        act.backward(np.ones_like(act.data))
     finally:
         tracer.uninstall()
 
@@ -119,3 +123,8 @@ def test_traced_train_step_records_autograd_spans():
     assert {"autograd.backward", "autograd.adam_step", "unet.forward"} <= names
     conv = [s for s in tracer.spans if s[2] in ("autograd.conv2d.fwd", "autograd.conv2d.bwd")]
     assert conv and all(s[5]["flop"] > 0 for s in conv)
+    # one conv2d span per conv layer, so a fused ReLU's time is inside its conv's spans
+    conv_layers = [name for name, _ in unet._layer_table(model.config)
+                   if name.endswith("_w") and "convt" not in name]
+    assert sum(s[2] == "autograd.conv2d.fwd" for s in tracer.spans) == len(conv_layers) == 23
+    assert sum(s[2] == "autograd.relu.fwd" for s in tracer.spans) == 1

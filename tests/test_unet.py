@@ -253,6 +253,55 @@ class TestForwardSemantics:
         assert peaks[-1] <= 1.25 * peaks[0]
 
 
+class TestStepMemory:
+    """What one training step holds at the benchmark's shapes: base 8, B=8,
+    32x128 in, 128x128 out."""
+
+    def batch(self):
+        rng = np.random.default_rng(7)
+        return (rng.random((8, 1, 32, 128), dtype=np.float32),
+                rng.random((8, 1, 128, 128), dtype=np.float32))
+
+    def test_step_peak_is_pinned(self):
+        # 48.5 MiB; a conv that keeps its pre-activation for a separate relu
+        # and holds each backward temporary to the end makes it 64.2
+        model = UNet(UNetConfig(base_channels=8), seed=3)
+        x, target = self.batch()
+        tracemalloc.start()
+        try:
+            out = model.forward(x, training=True)
+            ag.mse_loss(out, ag.Tensor(target)).backward()
+            ag.adam_step(model.parameters(), lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * 2**20, f"step peak {peak / 2**20:.1f} MiB"
+
+    def test_forward_graph_keeps_one_activation_per_layer(self):
+        model = UNet(UNetConfig(base_channels=8), seed=3)
+        x, _ = self.batch()
+        tracemalloc.start()
+        try:
+            out = model.forward(x, training=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        nodes, stack = {}, [out]
+        while stack:
+            t = stack.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                stack.extend(t._parents)
+        ops = [t for t in nodes.values() if t._parents]
+        layers = sum(name.endswith("_w") for name, _ in unet_mod._layer_table(model.config))
+        # one output per conv and transposed conv, plus four pools and four
+        # concats: no node is a ReLU whose parent keeps the pre-activation
+        assert len(ops) == layers + 8 == 37
+        kept = sum(t.data.nbytes for t in ops)
+        assert kept == 33_783_808  # 32.2 MiB; 51.8 MiB with the pre-activations
+        assert kept <= held <= kept + 2**20  # and nothing else of that size
+
+
 # Three same-seed Adam steps of a base-2 UNet; prints the SHA-1 of the
 # parameters' bytes. Run as a separate process, so nothing is shared.
 TRAIN_STEPS = """
@@ -294,6 +343,30 @@ class TestCheckpoint:
         assert loaded.config == model.config
         x = np.random.default_rng(4).random((1, 1, 32, 128), dtype=np.float32)
         np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.sptc"
+        model = self.small_model()
+        for p in model.parameters():
+            p.data = p.data + 0.01
+        save_checkpoint(model, path)
+
+        def no_draws(gen, shape):
+            raise AssertionError(f"drew initial weights of shape {shape}")
+
+        monkeypatch.setattr(unet_mod, "_he_uniform", no_draws)
+        loaded = load_checkpoint(path)
+        assert list(loaded.params) == list(model.params)
+        for name, p in loaded.params.items():
+            assert p.data.dtype == np.float32 and p.data.flags.writeable
+            assert p.data.tobytes() == model.params[name].data.tobytes()
+
+    def test_given_weights_must_match_the_layer_table(self):
+        model = self.small_model()
+        weights = {name: p.data for name, p in model.params.items()}
+        weights["head_b"] = np.zeros(2, dtype=np.float32)
+        with pytest.raises(ag.ShapeMismatchError, match="'head_b' has shape"):
+            UNet(model.config, weights=weights)
 
     def test_failed_save_keeps_old_checkpoint(self, tmp_path):
         path = tmp_path / "model.sptc"
