@@ -14,17 +14,26 @@ dtypes, and each operand's gradient comes back in that operand's dtype.
 Every reduction has a fixed order:
 
 - A convolution is a sum of shifted GEMMs, one per kernel tap, over a
-  zero-ringed channel-major copy of its input: taps are summed outer, in a
-  fixed order, and channels inner, inside each GEMM; weight gradients sum
-  fixed column tiles in order.
+  zero-ringed channel-major copy of its input: channels are summed inside
+  each GEMM, and taps accumulate inside the GEMMs, in a fixed order: tap 0
+  writes the output tile and every later tap adds into it through one BLAS
+  GEMM with beta = 1, so no tap's product is held apart. Weight gradients
+  sum fixed column tiles in order.
 - A transposed convolution's forward pass is one GEMM for all four taps
   (a sub-pixel convolution); where stride-1 taps overlap they are added in
-  tap order. Its input gradient is four per-tap GEMMs summed in tap order,
-  and its weight gradient is one GEMM per tap.
+  tap order. Its input gradient accumulates four per-tap GEMMs in tap
+  order, the same way, and its weight gradient is one GEMM per tap.
 - 2x2 pooling sums each block as (a + b) + (c + d), top row first, and
   multiplies by 0.25; at width 2 it sums left to right, ((a + b) + c) + d.
   Both are the orders of numpy's mean, so the two agree bit for bit.
 - ReLU is fmax(x, 0), so NaN maps to 0.
+
+The accumulating GEMM is numpy's own BLAS (CBLAS ?gemm with 64-bit ints),
+found once per process through numpy's core extension; where numpy exposes
+none, each product is written to a temporary and added, in the same order.
+A one-channel input keeps a broadcast multiply, and a one-channel output
+numpy's GEMV, each with that temporary. Every GEMM's operands are checked
+for dtype, layout and extent before a pointer to them is formed.
 
 conv2d(x, w, b, relu=True) adds the bias and applies the ReLU in place on
 its own output, with the same bits as relu(conv2d(x, w, b)). The graph
@@ -34,7 +43,8 @@ pass drops each temporary (masked gradient, ringed copies, full-grid
 gradient) as soon as it has been read.
 
 Single-threaded runs are therefore bit-reproducible; the bits of a GEMM
-depend on the BLAS thread count.
+depend on the BLAS thread count, so training and prediction pin numpy's
+BLAS to one thread (use_one_blas_thread).
 
 backward() consumes the graph it runs through: once an op's backward has
 run, its output drops its gradient, its backward and its parents, so a
@@ -45,6 +55,9 @@ consumed op raises RuntimeError rather than losing gradients silently.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -65,6 +78,7 @@ __all__ = [
     "adam_step",
     "numerical_gradient",
     "gradient_check",
+    "use_one_blas_thread",
 ]
 
 _FLOAT_DTYPES = (np.float32, np.float64)
@@ -204,6 +218,102 @@ def _require_tensor(x, name: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# numpy's own BLAS
+
+
+@functools.cache
+def _numpy_core() -> Optional[ctypes.CDLL]:
+    """numpy's core extension as a ctypes library: dlsym also searches the BLAS it links."""
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return ctypes.CDLL(importlib.import_module(name).__file__)
+        except (ImportError, OSError):
+            continue
+    return None
+
+
+def _blas_symbol(*names: str):
+    """The first of names that numpy's BLAS exports, or None."""
+    lib = _numpy_core()
+    return next((getattr(lib, n) for n in names if lib is not None and hasattr(lib, n)), None)
+
+
+def use_one_blas_thread() -> None:
+    """Pin numpy's OpenBLAS to one thread; a BLAS without the call is left as it is.
+
+    The bits of a GEMM depend on how many threads share it, so training and
+    prediction call this first: same inputs and seed then give the same
+    bytes whatever OPENBLAS_NUM_THREADS says.
+    """
+    set_threads = _blas_symbol("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads.argtypes = (ctypes.c_int,)
+        set_threads.restype = None
+        set_threads(1)
+
+
+_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS = 101, 111
+
+
+@functools.cache
+def _gemm(dtype: np.dtype):
+    """numpy's CBLAS ?gemm for float32 or float64, with 64-bit ints, or None."""
+    kind = {np.dtype(np.float32): ("s", ctypes.c_float), np.dtype(np.float64): ("d", ctypes.c_double)}
+    if dtype not in kind:
+        return None
+    letter, real = kind[dtype]
+    gemm = _blas_symbol(f"scipy_cblas_{letter}gemm64_", f"cblas_{letter}gemm64_")
+    if gemm is not None:
+        i64 = ctypes.c_int64
+        gemm.argtypes = (ctypes.c_int,) * 3 + (i64,) * 3 + (
+            real, ctypes.c_void_p, i64, ctypes.c_void_p, i64, real, ctypes.c_void_p, i64)
+        gemm.restype = None
+    return gemm
+
+
+def _tap_gemm(taps: np.ndarray, src: np.ndarray, offsets: Sequence[int], out: np.ndarray):
+    """add(t, col, m): out[:, col:col+m] += taps[t] @ src[:, col+offsets[t]:...+m] in place.
+
+    One BLAS GEMM with beta = 1 per call, so the product is never held
+    apart from out. None where numpy's BLAS has no GEMM for out's dtype,
+    and where out has one row: numpy runs that product as a GEMV, whose
+    sums round differently. Before any pointer is formed, the operands must share a float dtype, be
+    C-contiguous and fit one another: taps [T, M, K], src [K, >= N +
+    max(offsets)], out [M, N]. Each call's tap and columns are checked
+    against those extents.
+    """
+    gemm = _gemm(out.dtype)
+    if gemm is None:
+        return None
+    if not (taps.dtype == src.dtype == out.dtype):
+        raise TypeError(f"GEMM operands must share one dtype, got {taps.dtype}, {src.dtype}, {out.dtype}")
+    if not (taps.flags.c_contiguous and src.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("GEMM operands must be C-contiguous")
+    n_taps, rows, inner = taps.shape
+    if (src.ndim != 2 or out.ndim != 2 or src.shape[0] != inner or out.shape[0] != rows
+            or len(offsets) != n_taps or min(offsets) < 0
+            or out.shape[1] + max(offsets) > src.shape[1]):
+        raise ShapeMismatchError(
+            f"GEMM taps {taps.shape} at offsets {min(offsets)}..{max(offsets)} do not fit "
+            f"src {src.shape} and out {out.shape}"
+        )
+    if rows == 1:
+        return None
+    cols, size = out.shape[1], out.itemsize
+    a, b, c = taps.ctypes.data, src.ctypes.data, out.ctypes.data
+    ldb, tap_bytes = src.shape[1], rows * inner * size
+
+    def add(t: int, col: int, m: int) -> None:
+        if not (0 <= t < n_taps and 0 <= col and 0 < m and col + m <= cols):
+            raise IndexError(f"tap {t}, columns {col}:{col + m} outside {n_taps} taps, {cols} columns")
+        gemm(_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_NO_TRANS, rows, m, inner, 1.0,
+             a + t * tap_bytes, inner, b + (col + offsets[t]) * size, ldb, 1.0, c + col * size, cols)
+
+    add.operands = (taps, src, out)  # the buffers behind the pointers live as long as add
+    return add
+
+
+# ---------------------------------------------------------------------------
 # convolution
 
 
@@ -293,26 +403,33 @@ def _correlate(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
 
     shape is the input's [B,C_in,H,W]; the output is a [B,C_out,H,W] view
     of the channel-major result. Tap (ky, kx) is one GEMM over the input
-    shifted by ky*(W+2p) + kx columns; the ring columns of the grid are
-    computed and dropped.
+    shifted by ky*(W+2p) + kx columns, accumulated into the output tile in
+    tap order; the ring columns of the grid are computed and dropped.
     """
     b, _, h, wd = shape
     c_out, c_in, k, _ = w.shape
     grid, offsets = _grid(shape, k)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
-    # a GEMM with K = 1 is several times slower in OpenBLAS than a broadcast multiply
-    product = np.multiply if c_in == 1 else np.matmul
     dtype = np.result_type(xf, w)
-    n = _tile_columns(c_in + 2 * c_out, dtype.itemsize)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=dtype).reshape(k * k, c_out, c_in)
+    xf = np.ascontiguousarray(xf, dtype=dtype)
     out = np.empty((c_out, grid), dtype=dtype)
-    term = np.empty((c_out, min(n, grid)), dtype=dtype)
+    # a GEMM with K = 1 is several times slower in OpenBLAS than a broadcast
+    # multiply, and its sum turns a -0.0 product into +0.0
+    add = _tap_gemm(taps, xf, offsets, out) if c_in > 1 else None
+    product = np.multiply if c_in == 1 else np.matmul
+    n = _tile_columns(c_in + c_out if add else c_in + 2 * c_out, dtype.itemsize)
+    term = None if add else np.empty((c_out, min(n, grid)), dtype=dtype)
     for c0 in range(0, grid, n):
         acc = out[:, c0 : c0 + n]
         m = acc.shape[1]
         product(taps[0], xf[:, c0 : c0 + m], out=acc)
-        for tap, off in zip(taps[1:], offsets[1:]):
-            product(tap, xf[:, c0 + off : c0 + off + m], out=term[:, :m])
-            acc += term[:, :m]
+        for t in range(1, k * k):
+            if add:
+                add(t, c0, m)
+            else:
+                src = c0 + offsets[t]
+                product(taps[t], xf[:, src : src + m], out=term[:, :m])
+                acc += term[:, :m]
     return out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd].transpose(1, 0, 2, 3)
 
 
@@ -405,26 +522,32 @@ def _convt_grads(g: np.ndarray, weight: np.ndarray, sh: int, sw: int, h: int, wd
     Each tap's window of g is copied into one reused [C_out, B*h*wd] buffer
     g_t; a tap that would read past the edge of a stride-1 axis reads zero.
     With wrt_x, gx [B, C_in, h, wd] is the op's adjoint applied to g: the
-    GEMMs weight[:, :, di, dj] @ g_t summed in tap order. With x, gw is one
-    GEMM x[C_in, B*h*wd] @ g_t.T per tap. A gradient not asked for is None.
+    GEMMs weight[:, :, di, dj] @ g_t accumulated into gx in tap order. With
+    x, gw is one GEMM x[C_in, B*h*wd] @ g_t.T per tap. A gradient not asked
+    for is None.
     """
     b, c_out = g.shape[:2]
     c_in = weight.shape[0]
-    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # [2, 2, C_in, C_out]
-    gx = gw = None
+    dtype = np.result_type(g, weight)
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype).reshape(4, c_in, c_out)
+    gx = gw = add = None
     if x is not None:
         xm = x.transpose(1, 0, 2, 3).reshape(c_in, -1)
         gw = np.empty(weight.shape, dtype=np.result_type(g, x))
-    gt = np.empty((c_out, b, h, wd), dtype=g.dtype)
+    gt = np.empty((c_out, b, h, wd), dtype=dtype)
     flat = gt.reshape(c_out, -1)
-    for di, dj, win in _tap_windows(g, sh, sw, h, wd):
+    for t, (di, dj, win) in enumerate(_tap_windows(g, sh, sw, h, wd)):
         rows, cols = win.shape[2:]
         gt[:, :, rows:] = 0
         gt[:, :, :, cols:] = 0
         gt[:, :, :rows, :cols] = win.transpose(1, 0, 2, 3)
-        if wrt_x:
-            term = taps[di, dj] @ flat
-            gx = term if gx is None else np.add(gx, term, out=gx)
+        if wrt_x and gx is None:
+            gx = taps[t] @ flat
+            add = _tap_gemm(taps, flat, (0,) * 4, gx)
+        elif add:
+            add(t, 0, flat.shape[1])
+        elif wrt_x:
+            np.add(gx, taps[t] @ flat, out=gx)
         if gw is not None:
             gw[:, :, di, dj] = xm @ flat.T
     if wrt_x:

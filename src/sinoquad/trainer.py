@@ -197,10 +197,12 @@ def train(cfg: TrainConfig, verbose: bool = True) -> tuple[UNet, TrainHistory]:
 
     The checkpoint at cfg.checkpoint_path always holds the weights of the
     best-validation epoch seen so far. On glibc, the process keeps freed
-    heap for reuse from the first call on.
+    heap for reuse from the first call on. numpy's BLAS runs on one thread
+    from here on, so the weights do not depend on the thread count.
     """
     t0 = time.perf_counter()
     _keep_freed_heap()
+    ag.use_one_blas_thread()
     inputs, targets = _load_pairs(cfg)
     n = len(inputs)
     train_idx, val_idx = _split_indices(n, cfg.split_fraction, cfg.seed)

@@ -176,7 +176,12 @@ class UNet:
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference convenience: clamped forward, plain float32 array."""
+        """Inference convenience: clamped forward, plain float32 array.
+
+        numpy's BLAS runs on one thread from here on, so the bits do not
+        depend on the thread count.
+        """
+        ag.use_one_blas_thread()
         with ag.no_grad():
             out = self.forward(x, training=False)
         return out.data.astype(np.float32, copy=False)
@@ -215,7 +220,10 @@ def load_checkpoint(path) -> UNet:
             )
     # the dropped keys were fixed by the data or by base_channels; a
     # non-default bottleneck shows up below as a mismatched array table
-    config = UNetConfig(**{k: v for k, v in config.items() if k not in _DROPPED_CONFIG_KEYS})
+    try:
+        config = UNetConfig(**{k: v for k, v in config.items() if k not in _DROPPED_CONFIG_KEYS})
+    except ValueError as exc:
+        raise TomoFormatError(f"checkpoint {path} header has no valid UNetConfig object: {exc}") from None
     expected = [[name, list(shape)] for name, shape in _layer_table(config)]
     if header.get("arrays") != expected:
         raise TomoFormatError(

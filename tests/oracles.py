@@ -4,7 +4,8 @@ Everything here is built from first principles with none of the package's
 projection or autograd machinery: the raw bilinear ray-sampling matrix of
 one view and the brute-force fine-step line integrals it gives,
 analytic disk profiles, an antialiased disk rasteriser, loop forms of the
-two convolutions, a per-tap loop form of the projector's column
+two convolutions and of the convolution's gradients, a per-tap loop form
+of the projector's column
 balancing, a loop form of the detector filter and the forward projection
 through it, bit-reversed order, the explicit matrix of the projector's
 stored rows and detector filter, and its full-turn operator with a plain
@@ -16,9 +17,11 @@ can hold a faster or smaller form to the bits of a simpler one:
 from its private column blocks; `osem_full_grid` is the package's OSEM
 loop as it was before it iterated over field-of-view pixels only, run on
 full-grid operators made from those rows and the projector's detector
-matrix; and `view_matrix_single_pass` is the projector's one-view build as
+matrix; `view_matrix_single_pass` is the projector's one-view build as
 it was before it sampled the rays in chunks, calling the package's own
-column balancing.
+column balancing; and `correlate_product_then_add` is the convolution's
+shifted-GEMM correlation as it was before its taps accumulated inside the
+GEMM, on the package's own ringed layout.
 """
 
 from math import comb
@@ -127,6 +130,58 @@ def conv2d_same(x: np.ndarray, w: np.ndarray, b=None) -> np.ndarray:
     if b is not None:
         out += b[None, :, None, None]
     return out
+
+
+def conv2d_same_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gw) of conv2d_same for output gradient g, one output pixel and tap at a time.
+
+    Each term of the forward sum w[o, c, u, v] * x[:, c, ii, jj] sends
+    g[:, o, i, j] * w[o, c, u, v] to gx[:, c, ii, jj] and the sum over the
+    batch of g[:, o, i, j] * x[:, c, ii, jj] to gw[o, c, u, v].
+    """
+    _, _, h, wd = x.shape
+    k = w.shape[2]
+    p = k // 2
+    gx, gw = np.zeros(x.shape), np.zeros(w.shape)
+    for i in range(h):
+        for j in range(wd):
+            for u in range(k):
+                for v in range(k):
+                    ii, jj = i + u - p, j + v - p
+                    if 0 <= ii < h and 0 <= jj < wd:
+                        gx[:, :, ii, jj] += g[:, :, i, j] @ w[:, :, u, v]
+                        gw[:, :, u, v] += g[:, :, i, j].T @ x[:, :, ii, jj]
+    return gx, gw
+
+
+def correlate_product_then_add(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
+    """The package's _correlate as it was: each tap's product in a temporary, then added.
+
+    xf is the package's ringed input of shape [B, C_in, H, W] and w is
+    [C_out, C_in, k, k]. Tap 0 writes each column tile of the channel-major
+    result; every later tap's product, a matmul (a broadcast multiply at
+    C_in = 1), goes to a temporary that is added to the tile. Returns the
+    [B, C_out, H, W] view.
+    """
+    from sinoquad.autograd import _grid, _tile_columns
+
+    b, _, h, wd = shape
+    c_out, c_in, k, _ = w.shape
+    grid, offsets = _grid(shape, k)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
+    product = np.multiply if c_in == 1 else np.matmul
+    dtype = np.result_type(xf, w)
+    n = _tile_columns(c_in + 2 * c_out, dtype.itemsize)
+    out = np.empty((c_out, grid), dtype=dtype)
+    term = np.empty((c_out, min(n, grid)), dtype=dtype)
+    for c0 in range(0, grid, n):
+        acc = out[:, c0 : c0 + n]
+        m = acc.shape[1]
+        product(taps[0], xf[:, c0 : c0 + m], out=acc)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            product(tap, xf[:, c0 + off : c0 + off + m], out=term[:, :m])
+            acc += term[:, :m]
+    return out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd].transpose(1, 0, 2, 3)
 
 
 def conv_transpose2d_2x2(x: np.ndarray, w: np.ndarray, b, stride) -> np.ndarray:

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import conv2d_same, conv_transpose2d_2x2
+from oracles import conv2d_same, conv2d_same_grads, conv_transpose2d_2x2, correlate_product_then_add
 from sinoquad import autograd as ag
 from sinoquad.autograd import (
     MissingGradientError,
@@ -35,6 +35,22 @@ def ones(*shape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def no_blas(monkeypatch):
+    """numpy's BLAS GEMM reported missing, so every tap takes the product-then-add path."""
+    monkeypatch.setattr(ag, "_gemm", lambda dtype: None)
+
+
+# the network's distinct conv shapes at B=8, base 8, 32x128 in: (B, C_in, C_out, H, W, k)
+NETWORK_CONV_SHAPES = [
+    (8, 1, 8, 32, 128, 3), (8, 8, 8, 32, 128, 3), (8, 8, 16, 16, 64, 3), (8, 16, 16, 16, 64, 3),
+    (8, 16, 32, 8, 32, 3), (8, 32, 32, 8, 32, 3), (8, 32, 64, 4, 16, 3), (8, 64, 64, 4, 16, 3),
+    (8, 64, 128, 2, 8, 3), (8, 128, 128, 2, 8, 3), (8, 128, 64, 4, 16, 3), (8, 64, 32, 8, 32, 3),
+    (8, 32, 16, 16, 64, 3), (8, 16, 8, 32, 128, 3), (8, 8, 8, 64, 128, 3), (8, 8, 8, 128, 128, 3),
+    (8, 8, 1, 128, 128, 1),
+]
 
 
 class TestConv2d:
@@ -110,6 +126,19 @@ class TestConv2d:
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         target = Tensor(np.zeros(ref.shape))
         assert gradient_check(lambda: mse_loss(conv2d(x, w, bias), target), [x, w, bias]) <= 1e-4
+
+    @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=lambda s: "b{}c{}o{}h{}w{}k{}".format(*s))
+    @pytest.mark.parametrize("tile_bytes", [None, 512], ids=["one-tile", "many-tiles"])
+    def test_edge_shapes_gradients_match_loop_oracle(self, rng, monkeypatch, shape, tile_bytes):
+        if tile_bytes is not None:
+            monkeypatch.setattr(ag, "_TILE_BYTES", tile_bytes)
+        b, c_in, c_out, h, wd, k = shape
+        x, w = rand64(rng, b, c_in, h, wd), rand64(rng, c_out, c_in, k, k)
+        g = rng.standard_normal((b, c_out, h, wd))
+        conv2d(x, w).backward(g)
+        for got, want in zip((x.grad, w.grad), conv2d_same_grads(x.data, w.data, g)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("view", ["channel-slice", "transposed"])
     def test_non_contiguous_input(self, rng, view):
@@ -312,6 +341,146 @@ class TestConvTranspose2d:
         assert np.abs(results[0][0] - ref).max() <= 1e-12 * np.abs(ref).max()
         for got, want in zip(results[0], results[1]):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.usefixtures("no_blas")
+class TestConv2dWithoutBlas(TestConv2d):
+    """Every conv2d case again, with numpy's GEMM reported missing."""
+
+
+@pytest.mark.usefixtures("no_blas")
+class TestConv2dFusedReluWithoutBlas(TestConv2dFusedRelu):
+    """Every fused-ReLU case again, with numpy's GEMM reported missing."""
+
+
+@pytest.mark.usefixtures("no_blas")
+class TestConvTranspose2dWithoutBlas(TestConvTranspose2d):
+    """Every transposed-conv case again, with numpy's GEMM reported missing."""
+
+
+def conv_results(op, x, w, seed):
+    """Output and the input and weight gradients of op(x, w) for output gradient seed."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = op(xt, wt)
+    out.backward(seed)
+    return out.data, xt.grad, wt.grad
+
+
+class TestTapAccumulation:
+    """Taps accumulated inside numpy's GEMM keep the bits of each product added apart."""
+
+    def test_numpy_exposes_its_gemm(self):
+        for dtype in (np.float32, np.float64):
+            assert ag._gemm(np.dtype(dtype)) is not None
+
+    @pytest.mark.parametrize("shape", NETWORK_CONV_SHAPES, ids=lambda s: "b{}c{}o{}h{}w{}k{}".format(*s))
+    def test_network_correlations_match_product_then_add_bits(self, rng, shape):
+        # the forward correlation, and the input gradient's over the flipped kernel
+        b, c_in, c_out, h, wd, k = shape
+        x = rng.standard_normal((b, c_in, h, wd)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        g = rng.standard_normal((b, c_out, h, wd)).astype(np.float32)
+        for data, kernel in ((x, w), (g, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])):
+            xf = ag._ringed(data, k)
+            got = ag._correlate(xf, kernel, data.shape)
+            assert got.tobytes() == correlate_product_then_add(xf, kernel, data.shape).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 4, 1, 32, 128, 1), (8, 4, 1, 32, 128, 3), (2, 3, 1, 6, 7, 3)],
+                             ids=lambda s: "b{}c{}o{}h{}w{}k{}".format(*s))
+    def test_one_output_channel_keeps_product_then_add_bits(self, rng, shape, dtype):
+        # numpy runs a one-row product as a GEMV, whose sums depend on the tile
+        b, c_in, c_out, h, wd, k = shape
+        x = rng.standard_normal((b, c_in, h, wd)).astype(dtype)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(dtype)
+        xf = ag._ringed(x, k)
+        got = ag._correlate(xf, w, x.shape)
+        assert got.tobytes() == correlate_product_then_add(xf, w, x.shape).tobytes()
+
+    @pytest.mark.parametrize("shape", NETWORK_CONV_SHAPES, ids=lambda s: "b{}c{}o{}h{}w{}k{}".format(*s))
+    def test_network_convs_without_blas_keep_the_bits(self, rng, monkeypatch, shape):
+        b, c_in, c_out, h, wd, k = shape
+        x = rng.standard_normal((b, c_in, h, wd)).astype(np.float32)
+        w = rng.standard_normal((c_out, c_in, k, k)).astype(np.float32)
+        seed = rng.standard_normal((b, c_out, h, wd)).astype(np.float32)
+        blas = conv_results(conv2d, x, w, seed)
+        monkeypatch.setattr(ag, "_gemm", lambda dtype: None)
+        for got, want in zip(conv_results(conv2d, x, w, seed), blas):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,stride", TestConvTranspose2d.NETWORK_SHAPES,
+                             ids=lambda v: "x".join(map(str, v)))
+    def test_network_transposed_convs_without_blas_keep_the_bits(self, rng, monkeypatch, shape, stride):
+        b, c_in, c_out, h, wd = shape
+        x = rng.standard_normal((b, c_in, h, wd)).astype(np.float32)
+        w = rng.standard_normal((c_in, c_out, 2, 2)).astype(np.float32)
+        seed = rng.standard_normal((b, c_out, stride[0] * h, stride[1] * wd)).astype(np.float32)
+
+        def op(xt, wt):
+            return conv_transpose2d(xt, wt, stride=stride)
+
+        blas = conv_results(op, x, w, seed)
+        monkeypatch.setattr(ag, "_gemm", lambda dtype: None)
+        for got, want in zip(conv_results(op, x, w, seed), blas):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestGemmPreCallCheck:
+    """A malformed accumulating GEMM raises before numpy's BLAS is ever called."""
+
+    SHAPE = (2, 3, 4, 5)  # [B, C_in, H, W] of a 3x3 correlation to 4 channels
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ag, "_gemm", lambda dtype: lambda *args: calls.append(args))
+        return calls
+
+    def operands(self, rng):
+        grid, offsets = ag._grid(self.SHAPE, 3)
+        taps = rng.standard_normal((9, 4, 3)).astype(np.float32)
+        src = rng.standard_normal((3, grid + offsets[-1])).astype(np.float32)
+        return taps, src, offsets, np.zeros((4, grid), np.float32)
+
+    def test_stand_in_gets_every_later_tap(self, rng, calls):
+        x = rng.standard_normal(self.SHAPE).astype(np.float32)
+        ag._correlate(ag._ringed(x, 3), rng.standard_normal((4, 3, 3, 3)).astype(np.float32), self.SHAPE)
+        grid = ag._grid(self.SHAPE, 3)[0]
+        assert [args[3:6] for args in calls] == [(4, grid, 3)] * 8  # one tile: M, N, K of taps 1 to 8
+
+    def test_ring_one_column_short_raises(self, rng, calls):
+        x = rng.standard_normal(self.SHAPE).astype(np.float32)
+        xf = ag._ringed(x, 3)[:, :-1]
+        with pytest.raises(ShapeMismatchError, match="do not fit"):
+            ag._correlate(xf, rng.standard_normal((4, 3, 3, 3)).astype(np.float32), self.SHAPE)
+        assert calls == []
+
+    @pytest.mark.parametrize("operand", [0, 1, 3], ids=["taps", "src", "out"])
+    def test_non_contiguous_operand_raises(self, rng, calls, operand):
+        args = list(self.operands(rng))
+        wide = np.repeat(args[operand], 2, axis=-1)
+        args[operand] = wide[..., ::2]
+        assert not args[operand].flags.c_contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ag._tap_gemm(*args)
+        assert calls == []
+
+    @pytest.mark.parametrize("operand", [0, 1, 3], ids=["taps", "src", "out"])
+    def test_mixed_dtypes_raise(self, rng, calls, operand):
+        args = list(self.operands(rng))
+        args[operand] = args[operand].astype(np.float64)
+        with pytest.raises(TypeError, match="one dtype"):
+            ag._tap_gemm(*args)
+        assert calls == []
+
+    @pytest.mark.parametrize("t,col,m", [(9, 0, 1), (-1, 0, 1), (1, -1, 1), (1, 0, 0), (1, 80, 5)])
+    def test_call_outside_the_checked_extents_raises(self, rng, calls, t, col, m):
+        add = ag._tap_gemm(*self.operands(rng))
+        with pytest.raises(IndexError):
+            add(t, col, m)
+        assert calls == []
+        add(8, 0, 84)
+        assert len(calls) == 1
 
 
 class TestPoolActConcat:

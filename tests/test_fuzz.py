@@ -6,9 +6,14 @@ CLI commands that read these files must never report an internal fault
 (exit 3). Runs are derandomized, but hypothesis also draws from literal
 constants it finds in the project's source, so its examples move when a
 literal does. The enumerated floor does not: every value of every fixed
-header byte, and every truncation of the SPTB file, on every run.
+header byte, every truncation of the SPTB file, and, for the checkpoint,
+six values of every JSON header byte, every truncation inside the header
+and every cut next to an array boundary, on every run.
 """
 
+import itertools
+import json
+import math
 import struct
 
 import numpy as np
@@ -54,8 +59,24 @@ def byte_changes(blob: bytes, n: int):
             yield f"byte {offset} = {value}", blob[:offset] + bytes([value]) + blob[offset + 1 :]
 
 
+def byte_damage(blob: bytes, start: int, end: int):
+    """(label, blob with one byte of [start, end) set to 0x00, 0x20, 0x7f, 0xff or its value +- 1)."""
+    for offset in range(start, end):
+        near = {(blob[offset] + 1) % 256, (blob[offset] - 1) % 256}
+        for value in sorted({0x00, 0x20, 0x7F, 0xFF} | near):
+            yield f"byte {offset} = {value}", blob[:offset] + bytes([value]) + blob[offset + 1 :]
+
+
 def truncations(blob: bytes):
     return ((f"first {n} bytes", blob[:n]) for n in range(len(blob)))
+
+
+def boundary_cuts(blob: bytes, header_end: int):
+    """(label, blob cut one byte before, at and after each checkpoint array's start and end)."""
+    arrays = json.loads(blob[12:header_end])["arrays"]
+    bounds = itertools.accumulate((4 * math.prod(shape) for _, shape in arrays), initial=header_end)
+    cuts = sorted({n + d for n in bounds for d in (-1, 0, 1)} & set(range(len(blob))))
+    return ((f"first {n} bytes", blob[:n]) for n in cuts)
 
 
 def escapes(read, path, cases) -> list[str]:
@@ -80,6 +101,17 @@ class TestEnumeratedFloor:
 
     def test_every_sptc_fixed_header_byte_value(self, work):
         cases = list(byte_changes(work["ckpt"], 12))
+        assert escapes(load_checkpoint, work["root"] / "floor.sptc", cases) == []
+
+    def test_sptc_json_header_bytes_truncations_and_array_boundaries(self, work):
+        blob, end = work["ckpt"], work["ckpt_header"]
+        counts = [sum(1 for _ in cases) for cases in (byte_damage(blob, 12, end),
+                                                      truncations(blob[:end]), boundary_cuts(blob, end))]
+        assert counts[0] >= 5 * (end - 12) and counts[1] == end
+        # three cuts at each array's start and at the last one's end, which is the file's
+        assert counts[2] == 3 * (len(json.loads(blob[12:end])["arrays"]) + 1) - 2
+        cases = itertools.chain(byte_damage(blob, 12, end), truncations(blob[:end]),
+                                boundary_cuts(blob, end))
         assert escapes(load_checkpoint, work["root"] / "floor.sptc", cases) == []
 
 

@@ -93,13 +93,13 @@ print(vm_rss() - before, sum(p.data.nbytes for p in model.parameters()))
 """
 
 
-def run_python(code: str) -> str:
-    """stdout of code run by a fresh interpreter on this package, at one BLAS thread."""
-    # BLAS reads its thread count when it loads, so it is pinned in the environment
+def run_python(code: str, threads: int = 1) -> str:
+    """stdout of code run by a fresh interpreter on this package, at a BLAS thread count."""
+    # BLAS reads its thread count when it loads, so it is set in the environment
     src = str(Path(unet_mod.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    env.update({v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    env.update({v: str(threads) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=300).stdout.strip()
 
@@ -328,6 +328,45 @@ def test_same_seed_steps_byte_identical_across_processes_at_one_blas_thread():
     assert digests[0] == digests[1]
 
 
+# Three Adam steps of trainer.train at the benchmark's shapes (base 8, B=8,
+# 32x128 in, 128x128 out) on nine random pairs, eight to train and one to
+# validate; prints the SHA-1 of the trained parameters and of a prediction.
+TRAIN_AT_BASE_8 = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from sinoquad.geometry import Sinogram
+from sinoquad.io_formats import write_manifest, write_tomo
+from sinoquad.trainer import TrainConfig, train
+
+root = Path(sys.argv[1])
+rng = np.random.default_rng(8)
+rows = []
+for i in range(9):
+    write_tomo(root / f"in{i}.sptb", Sinogram(rng.random((32, 128), dtype=np.float32) + 0.5))
+    write_tomo(root / f"out{i}.sptb", Sinogram(rng.random((128, 128), dtype=np.float32)))
+    rows.append({"input": f"in{i}.sptb", "target": f"out{i}.sptb", "phantom": "",
+                 "seed": i, "noise": "low"})
+write_manifest(root / "manifest.jsonl", rows)
+model, history = train(TrainConfig(str(root / "manifest.jsonl"), epochs=3, batch_size=8,
+                                   base_channels=8, seed=4), verbose=False)
+x = rng.random((8, 1, 32, 128), dtype=np.float32)
+print(hashlib.sha1(b"".join(p.data.tobytes() for p in model.parameters())).hexdigest(),
+      hashlib.sha1(model.predict(x).tobytes()).hexdigest())
+"""
+
+
+def test_training_and_prediction_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # train and predict pin numpy's BLAS to one thread whatever the environment says
+    digests = []
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        code = TRAIN_AT_BASE_8.replace("sys.argv[1]", repr(str(tmp_path / str(threads))))
+        digests.append(run_python(code, threads))
+    assert len(digests[0]) == 81
+    assert digests[0] == digests[1]
+
+
 class TestCheckpoint:
     def small_model(self, seed=7):
         return UNet(UNetConfig(base_channels=2), seed=seed)
@@ -489,7 +528,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit,error,hint", [
         ({"in_angles": "32"}, TomoFormatError, "no valid UNetConfig"),
         ({"bottleneck_channels": 2.5}, TomoFormatError, "no valid UNetConfig"),
-        ({"base_channels": 0}, ValueError, "base_channels"),
+        ({"base_channels": 0}, TomoFormatError, "base_channels must be >= 1"),
     ], ids=["string-angles", "float-bottleneck", "zero-width"])
     def test_five_key_headers_keep_their_checks(self, tmp_path, edit, error, hint):
         path, old = tmp_path / "model.sptc", tmp_path / "old.sptc"
