@@ -70,14 +70,11 @@ __all__ = [
     "no_grad",
     "conv2d",
     "conv_transpose2d",
-    "conv_transpose2d_adjoint",
     "avgpool2x2",
     "relu",
     "concat_channels",
     "mse_loss",
     "adam_step",
-    "numerical_gradient",
-    "gradient_check",
     "use_one_blas_thread",
 ]
 
@@ -324,6 +321,13 @@ def _require_4d(x, name: str, op: str) -> Tensor:
     return x
 
 
+def _refuse_zero_extent(op: str, x: Tensor, weight: Tensor) -> None:
+    """A convolution's GEMMs and their gradients need every extent of its operands."""
+    for name, t in (("input", x), ("weight", weight)):
+        if 0 in t.shape:
+            raise ShapeMismatchError(f"{op} {name} shape {t.shape} has a zero extent")
+
+
 def _check_bias(bias, c_out: int, op: str) -> Optional[Tensor]:
     if bias is None:
         return None
@@ -444,6 +448,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, relu: bool 
     """
     x = _require_4d(x, "input", "conv2d")
     weight = _require_4d(weight, "weight", "conv2d")
+    _refuse_zero_extent("conv2d", x, weight)
     c_in = x.shape[1]
     c_out, wc_in, kh, kw = weight.shape
     if wc_in != c_in:
@@ -515,72 +520,15 @@ def _tap_windows(y: np.ndarray, sh: int, sw: int, h: int, wd: int):
             yield di, dj, y[:, :, di::sh, dj::sw][:, :, :h, :wd]
 
 
-def _convt_grads(g: np.ndarray, weight: np.ndarray, sh: int, sw: int, h: int, wd: int,
-                 x: Optional[np.ndarray] = None, wrt_x: bool = True):
-    """(gx, gw) of conv_transpose2d from output gradient g, one gather per tap.
-
-    Each tap's window of g is copied into one reused [C_out, B*h*wd] buffer
-    g_t; a tap that would read past the edge of a stride-1 axis reads zero.
-    With wrt_x, gx [B, C_in, h, wd] is the op's adjoint applied to g: the
-    GEMMs weight[:, :, di, dj] @ g_t accumulated into gx in tap order. With
-    x, gw is one GEMM x[C_in, B*h*wd] @ g_t.T per tap. A gradient not asked
-    for is None.
-    """
-    b, c_out = g.shape[:2]
-    c_in = weight.shape[0]
-    dtype = np.result_type(g, weight)
-    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=dtype).reshape(4, c_in, c_out)
-    gx = gw = add = None
-    if x is not None:
-        xm = x.transpose(1, 0, 2, 3).reshape(c_in, -1)
-        gw = np.empty(weight.shape, dtype=np.result_type(g, x))
-    gt = np.empty((c_out, b, h, wd), dtype=dtype)
-    flat = gt.reshape(c_out, -1)
-    for t, (di, dj, win) in enumerate(_tap_windows(g, sh, sw, h, wd)):
-        rows, cols = win.shape[2:]
-        gt[:, :, rows:] = 0
-        gt[:, :, :, cols:] = 0
-        gt[:, :, :rows, :cols] = win.transpose(1, 0, 2, 3)
-        if wrt_x and gx is None:
-            gx = taps[t] @ flat
-            add = _tap_gemm(taps, flat, (0,) * 4, gx)
-        elif add:
-            add(t, 0, flat.shape[1])
-        elif wrt_x:
-            np.add(gx, taps[t] @ flat, out=gx)
-        if gw is not None:
-            gw[:, :, di, dj] = xm @ flat.T
-    if wrt_x:
-        gx = np.ascontiguousarray(gx.reshape(c_in, b, h, wd).transpose(1, 0, 2, 3))
-    return gx, gw
-
-
-def conv_transpose2d_adjoint(y: np.ndarray, weight: np.ndarray, stride) -> np.ndarray:
-    """The strided 2x2 correlation whose adjoint conv_transpose2d computes.
-
-    Maps [B, C_out, sh*H, sw*W] down to [B, C_in, H, W]. For a stride-1
-    axis the window that would read past the edge sees an implicit zero
-    (the transposed op drops that tap). Plain ndarray helper, used by
-    adjointness tests.
-    """
-    sh, sw = _check_stride(stride)
-    y = np.asarray(y)
-    hy, wy = y.shape[2:]
-    if hy % sh or wy % sw:
-        raise ShapeMismatchError(
-            f"adjoint input spatial dims {(hy, wy)} not divisible by stride {(sh, sw)}"
-        )
-    return _convt_grads(y, np.asarray(weight), sh, sw, hy // sh, wy // sw)[0]
-
-
 def conv_transpose2d(
     x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride=(2, 2)
 ) -> Tensor:
     """Transposed convolution: [B,C_in,H,W] -> [B,C_out,sh*H,sw*W].
 
-    weight is [C_in, C_out, 2, 2]; stride components are 1 or 2. The map is
-    the exact adjoint of conv_transpose2d_adjoint with the same weight and
-    stride (verified to float round-off by the test suite).
+    weight is [C_in, C_out, 2, 2]; stride components are 1 or 2. The
+    adjoint of this map, the strided 2x2 correlation, is its input gradient:
+    out.backward(y) leaves it applied to y in x.grad, where a stride-1 tap
+    that would read past the edge reads zero.
     """
     x = _require_4d(x, "input", "conv_transpose2d")
     weight = _require_tensor(weight, "weight")
@@ -589,6 +537,7 @@ def conv_transpose2d(
         raise ShapeMismatchError(
             f"conv_transpose2d weight must be [C_in,C_out,2,2], got {weight.shape}"
         )
+    _refuse_zero_extent("conv_transpose2d", x, weight)
     b, c_in, h, wd = x.shape
     if weight.shape[0] != c_in:
         raise ShapeMismatchError(
@@ -613,8 +562,36 @@ def conv_transpose2d(
             win += plane
 
     def grads(held: list):
-        return _convt_grads(held.pop(), weight.data, sh, sw, h, wd,
-                            x.data if weight.requires_grad else None, x.requires_grad)
+        # each tap's window of g is copied into one reused buffer, read as
+        # flat [C_out, B*h*wd], zero where a stride-1 tap reads past the edge.
+        # gx accumulates weight[:, :, di, dj] @ flat in tap order; each tap of
+        # gw is one GEMM x[C_in, B*h*wd] @ flat.T
+        g = held.pop()
+        dtype = np.result_type(g, weight.data)
+        taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype).reshape(4, c_in, c_out)
+        gx = gw = add = None
+        if weight.requires_grad:
+            xm = x.data.transpose(1, 0, 2, 3).reshape(c_in, -1)
+            gw = np.empty(weight.shape, dtype=np.result_type(g, x.data))
+        gt = np.empty((c_out, b, h, wd), dtype=dtype)
+        flat = gt.reshape(c_out, -1)
+        for t, (di, dj, win) in enumerate(_tap_windows(g, sh, sw, h, wd)):
+            rows, cols = win.shape[2:]
+            gt[:, :, rows:] = 0
+            gt[:, :, :, cols:] = 0
+            gt[:, :, :rows, :cols] = win.transpose(1, 0, 2, 3)
+            if x.requires_grad and gx is None:
+                gx = taps[t] @ flat
+                add = _tap_gemm(taps, flat, (0,) * 4, gx)
+            elif add:
+                add(t, 0, flat.shape[1])
+            elif x.requires_grad:
+                np.add(gx, taps[t] @ flat, out=gx)
+            if gw is not None:
+                gw[:, :, di, dj] = xm @ flat.T
+        if gx is not None:
+            gx = np.ascontiguousarray(gx.reshape(c_in, b, h, wd).transpose(1, 0, 2, 3))
+        return gx, gw
 
     return _conv_op(out, x, weight, bias, grads)
 
@@ -745,55 +722,3 @@ def adam_step(params: Iterable[Parameter], lr: float = 1e-3) -> None:
         p.data = p.data - dt(lr) * m_hat / (np.sqrt(v_hat) + dt(_ADAM_EPS))
         p.grad = None
 
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-
-def numerical_gradient(fn: Callable[[], Tensor], wrt: Tensor, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar-valued fn with respect to wrt.
-
-    Perturbs wrt.data in place (restoring it), so fn must re-read wrt on
-    every call. Use float64 tensors; float32 differences drown in rounding.
-    """
-    base = wrt.data
-    grad = np.zeros_like(base)
-    flat = base.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        with no_grad():
-            hi = float(fn().data)
-        flat[i] = orig - h
-        with no_grad():
-            lo = float(fn().data)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad
-
-
-def gradient_check(
-    fn: Callable[[], Tensor],
-    tensors: Sequence[Tensor],
-    h: float = 1e-5,
-    floor: float = 1e-6,
-) -> float:
-    """Max elementwise relative error between analytic and numeric gradients.
-
-    Relative error uses max(|analytic|, |numeric|, floor) as denominator so
-    structurally-zero entries do not divide by zero.
-    """
-    for t in tensors:
-        t.grad = None
-    out = fn()
-    out.backward()
-    worst = 0.0
-    for t in tensors:
-        if t.grad is None:
-            raise MissingGradientError("tensor received no gradient during the check")
-        num = numerical_gradient(fn, t, h=h)
-        denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), floor)
-        rel = np.abs(t.grad - num) / denom
-        worst = max(worst, float(rel.max()))
-    return worst

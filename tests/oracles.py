@@ -9,7 +9,8 @@ of the projector's column
 balancing, a loop form of the detector filter and the forward projection
 through it, bit-reversed order, the explicit matrix of the projector's
 stored rows and detector filter, and its full-turn operator with a plain
-OSEM loop over it.
+OSEM loop over it, and central finite differences of a scalar function
+of tensors, which `gradient_check` holds the function's backward to.
 
 Some entry points are not independent of the package, so that the tests
 can hold a faster or smaller form to the bits of a simpler one:
@@ -460,3 +461,51 @@ def view_matrix_single_pass(theta_deg: float, height: int, width: int, n_bins: i
     indptr = np.searchsorted(col, np.arange(height * width + 1))
     mat = sp.csc_matrix((sums[nz], rows, indptr), shape=(n_bins, height * width)).tocsr()
     return _balance_columns(mat, theta, height, width, n_bins)
+
+
+def numerical_gradient(fn, wrt, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar-valued fn with respect to the tensor wrt.
+
+    Perturbs wrt.data in place (restoring it), so fn must re-read wrt on
+    every call. Use float64 tensors; float32 differences drown in rounding.
+    """
+    from sinoquad.autograd import no_grad
+
+    base = wrt.data
+    grad = np.zeros_like(base)
+    flat = base.ravel()
+    gflat = grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        with no_grad():
+            hi = float(fn().data)
+        flat[i] = orig - h
+        with no_grad():
+            lo = float(fn().data)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * h)
+    return grad
+
+
+def gradient_check(fn, tensors, h: float = 1e-5, floor: float = 1e-6) -> float:
+    """Max elementwise relative error between fn's backward gradients and numerical_gradient.
+
+    Relative error uses max(|analytic|, |numeric|, floor) as denominator so
+    structurally-zero entries do not divide by zero.
+    """
+    from sinoquad.autograd import MissingGradientError
+
+    for t in tensors:
+        t.grad = None
+    out = fn()
+    out.backward()
+    worst = 0.0
+    for t in tensors:
+        if t.grad is None:
+            raise MissingGradientError("tensor received no gradient during the check")
+        num = numerical_gradient(fn, t, h=h)
+        denom = np.maximum(np.maximum(np.abs(t.grad), np.abs(num)), floor)
+        rel = np.abs(t.grad - num) / denom
+        worst = max(worst, float(rel.max()))
+    return worst

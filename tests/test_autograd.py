@@ -5,7 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import conv2d_same, conv2d_same_grads, conv_transpose2d_2x2, correlate_product_then_add
+from oracles import (
+    conv2d_same,
+    conv2d_same_grads,
+    conv_transpose2d_2x2,
+    correlate_product_then_add,
+    gradient_check,
+)
 from sinoquad import autograd as ag
 from sinoquad.autograd import (
     MissingGradientError,
@@ -17,8 +23,6 @@ from sinoquad.autograd import (
     concat_channels,
     conv2d,
     conv_transpose2d,
-    conv_transpose2d_adjoint,
-    gradient_check,
     mse_loss,
     relu,
 )
@@ -278,16 +282,17 @@ class TestConvTranspose2d:
 
     @pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 2), (1, 1)])
     def test_adjointness(self, rng, stride):
-        # <convT(x), y> must equal <x, adjoint(y)> to float64 round-off
+        # <convT(x), y> must equal <x, adjoint(y)> to float64 round-off; the
+        # adjoint applied to y is the input gradient that backward(y) leaves
         sh, sw = stride
         for _ in range(25):
-            x = rng.standard_normal((1, 3, 4, 5))
+            x = Tensor(rng.standard_normal((1, 3, 4, 5)), requires_grad=True)
             w = rng.standard_normal((3, 2, 2, 2))
             y = rng.standard_normal((1, 2, 4 * sh, 5 * sw))
-            fx = conv_transpose2d(Tensor(x), Tensor(w), stride=stride).data
-            aty = conv_transpose2d_adjoint(y, w, stride)
-            lhs = float(np.sum(fx * y))
-            rhs = float(np.sum(x * aty))
+            out = conv_transpose2d(x, Tensor(w), stride=stride)
+            lhs = float(np.sum(out.data * y))
+            out.backward(y)
+            rhs = float(np.sum(x.data * x.grad))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
     STRIDES = [(2, 2), (2, 1), (1, 2), (1, 1)]
@@ -643,8 +648,25 @@ class TestLossAndGraph:
         (lambda: relu(ones(2, 3)).backward(np.ones((3, 2))), ShapeMismatchError,
          "seed gradient shape"),
         (lambda: Tensor(np.ones(1)).backward(), RuntimeError, "does not require grad"),
+        # a zero extent leaves a GEMM or a reshape with nothing to size it by
+        (lambda: conv2d(ones(1, 2, 3, 3), ones(0, 2, 3, 3)), ShapeMismatchError,
+         r"conv2d weight shape \(0, 2, 3, 3\) has a zero extent"),
+        (lambda: conv2d(ones(1, 0, 3, 3), ones(2, 0, 3, 3)), ShapeMismatchError,
+         r"conv2d input shape \(1, 0, 3, 3\) has a zero extent"),
+        (lambda: conv2d(ones(0, 2, 3, 3), ones(2, 2, 3, 3)), ShapeMismatchError,
+         r"conv2d input shape \(0, 2, 3, 3\) has a zero extent"),
+        (lambda: conv_transpose2d(ones(1, 0, 3, 3), ones(0, 2, 2, 2)), ShapeMismatchError,
+         r"conv_transpose2d input shape \(1, 0, 3, 3\) has a zero extent"),
+        (lambda: conv_transpose2d(ones(1, 2, 3, 3), ones(2, 0, 2, 2)), ShapeMismatchError,
+         r"conv_transpose2d weight shape \(2, 0, 2, 2\) has a zero extent"),
+        (lambda: conv_transpose2d(ones(0, 2, 3, 3), ones(2, 2, 2, 2)), ShapeMismatchError,
+         r"conv_transpose2d input shape \(0, 2, 3, 3\) has a zero extent"),
+        (lambda: conv_transpose2d(ones(1, 2, 3, 0), ones(2, 2, 2, 2)), ShapeMismatchError,
+         r"conv_transpose2d input shape \(1, 2, 3, 0\) has a zero extent"),
     ], ids=["non-tensor", "not-4d", "bias-shape", "stride-not-a-pair", "convt-weight-shape",
-            "convt-channels", "mse-shapes", "seed-gradient-shape", "no-grad"])
+            "convt-channels", "mse-shapes", "seed-gradient-shape", "no-grad", "conv-zero-c-out",
+            "conv-zero-c-in", "conv-zero-batch", "convt-zero-c-in", "convt-zero-c-out",
+            "convt-zero-batch", "convt-zero-width"])
     def test_malformed_operands_are_refused(self, call, error, hint):
         with pytest.raises(error, match=hint):
             call()

@@ -1,6 +1,7 @@
 """Every import in the package and in its tests, and every private
 module-level name in the package, is used; no public function in the
-package takes a private parameter.
+package takes a private parameter; sinoquad.autograd exports only what
+the package or the benchmark's tracer runs.
 
 An import counts as used when the module reads the bound name somewhere
 or lists it in __all__ (a re-export). A private name (one leading
@@ -18,9 +19,11 @@ from pathlib import Path
 import pytest
 
 import sinoquad
+import sinoquad.autograd as ag
 
 MODULES = sorted(Path(sinoquad.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,14 +37,15 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     read = _loaded_names(tree)
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
+    exported = set(assigned_literal(tree, "__all__") or ())
     return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
             if name not in read and name not in exported]
+
+
+def assigned_literal(tree, name: str):
+    """The literal a module assigns to name at its top level, or None."""
+    return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)), None)
 
 
 def _loaded_names(tree) -> set[str]:
@@ -117,3 +121,40 @@ def test_checker_flags_a_private_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_parameters(path):
     assert private_parameters(path.read_text()) == []
+
+
+def names_read_from(module: str, source: str) -> set[str]:
+    """Names a source reads from the sibling module: as module.name, or imported by name."""
+    tree = ast.parse(source)
+    aliases, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            read |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            aliases |= {alias.asname or alias.name for alias in node.names if alias.name == module}
+    return read | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id in aliases}
+
+
+def test_checker_finds_names_read_from_a_module():
+    source = ("from . import autograd as ag\nfrom .autograd import Tensor\n"
+              "y = ag.conv2d(x, w, relu=True)\nz = other.mse_loss\n")
+    assert names_read_from("autograd", source) == {"Tensor", "conv2d"}
+
+
+def test_autograd_exports_only_what_is_run():
+    # the benchmark's tracer wraps the ops it lists by name
+    read = set(assigned_literal(ast.parse(TRACER.read_text()), "AUTOGRAD_OPS"))
+    for path in MODULES:
+        if path.stem != "autograd":
+            read |= names_read_from("autograd", path.read_text())
+    errors = {name for name in ag.__all__ if isinstance(getattr(ag, name), type)
+              and issubclass(getattr(ag, name), Exception)}
+    assert sorted(set(ag.__all__) - read - errors) == []
+
+
+def test_readme_row_names_every_autograd_export():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    row = next(line for line in readme.read_text().splitlines()
+               if line.startswith("| `sinoquad.autograd` |"))
+    assert [name for name in ag.__all__ if f"`{name}`" not in row] == []
