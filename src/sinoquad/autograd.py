@@ -15,10 +15,8 @@ Every reduction has a fixed order:
 
 - A convolution is a sum of shifted GEMMs, one per kernel tap, over a
   zero-ringed channel-major copy of its input: channels are summed inside
-  each GEMM, and taps accumulate inside the GEMMs, in a fixed order: tap 0
-  writes the output tile and every later tap adds into it through one BLAS
-  GEMM with beta = 1, so no tap's product is held apart. Weight gradients
-  sum fixed column tiles in order.
+  each GEMM, and tap 0 writes the output tile and every later tap adds into
+  it, in tap order. Weight gradients sum fixed column tiles in order.
 - A transposed convolution's forward pass is one GEMM for all four taps
   (a sub-pixel convolution); where stride-1 taps overlap they are added in
   tap order. Its input gradient accumulates four per-tap GEMMs in tap
@@ -28,12 +26,12 @@ Every reduction has a fixed order:
   Both are the orders of numpy's mean, so the two agree bit for bit.
 - ReLU is fmax(x, 0), so NaN maps to 0.
 
-The accumulating GEMM is numpy's own BLAS (CBLAS ?gemm with 64-bit ints),
-found once per process through numpy's core extension; where numpy exposes
-none, each product is written to a temporary and added, in the same order.
-A one-channel input keeps a broadcast multiply, and a one-channel output
-numpy's GEMV, each with that temporary. Every GEMM's operands are checked
-for dtype, layout and extent before a pointer to them is formed.
+Both convolutions accumulate taps through _tap_gemm: a later tap is one
+GEMM of numpy's own BLAS (CBLAS ?gemm with 64-bit ints, found through
+numpy's core extension) with beta = 1. Without that GEMM, and for one row
+(numpy's GEMV) or one inner channel (a broadcast multiply), each product
+goes to one temporary and is added, in the same order. The operands are
+checked for dtype, layout and extent before either path runs.
 
 conv2d(x, w, b, relu=True) adds the bias and applies the ReLU in place on
 its own output, with the same bits as relu(conv2d(x, w, b)). The graph
@@ -269,19 +267,21 @@ def _gemm(dtype: np.dtype):
 
 
 def _tap_gemm(taps: np.ndarray, src: np.ndarray, offsets: Sequence[int], out: np.ndarray):
-    """add(t, col, m): out[:, col:col+m] += taps[t] @ src[:, col+offsets[t]:...+m] in place.
+    """add(t, col, m): accumulate taps[t] @ src[:, col+offsets[t]:][:, :m] into out[:, col:col+m].
 
-    One BLAS GEMM with beta = 1 per call, so the product is never held
-    apart from out. None where numpy's BLAS has no GEMM for out's dtype,
-    and where out has one row: numpy runs that product as a GEMV, whose
-    sums round differently. Before any pointer is formed, the operands must share a float dtype, be
+    Tap 0 writes those columns with numpy's product; each later tap adds
+    into them, in call order: one GEMM with beta = 1 where numpy's BLAS has
+    one for out's dtype and M, K > 1, else a product in add's own temporary
+    and an add. numpy runs M = 1 as a GEMV, whose sums round differently;
+    K = 1 is a broadcast multiply, faster than OpenBLAS's K = 1 GEMM and
+    keeping a -0.0 product's sign. add.tile_rows, the rows of src, out and
+    any temporary that a call touches per column, sizes column tiles.
+
+    Before add is made, the operands must share a float dtype, be
     C-contiguous and fit one another: taps [T, M, K], src [K, >= N +
     max(offsets)], out [M, N]. Each call's tap and columns are checked
     against those extents.
     """
-    gemm = _gemm(out.dtype)
-    if gemm is None:
-        return None
     if not (taps.dtype == src.dtype == out.dtype):
         raise TypeError(f"GEMM operands must share one dtype, got {taps.dtype}, {src.dtype}, {out.dtype}")
     if not (taps.flags.c_contiguous and src.flags.c_contiguous and out.flags.c_contiguous):
@@ -294,19 +294,30 @@ def _tap_gemm(taps: np.ndarray, src: np.ndarray, offsets: Sequence[int], out: np
             f"GEMM taps {taps.shape} at offsets {min(offsets)}..{max(offsets)} do not fit "
             f"src {src.shape} and out {out.shape}"
         )
-    if rows == 1:
-        return None
+    gemm = _gemm(out.dtype) if rows > 1 and inner > 1 else None
+    product = np.multiply if inner == 1 else np.matmul
     cols, size = out.shape[1], out.itemsize
     a, b, c = taps.ctypes.data, src.ctypes.data, out.ctypes.data
     ldb, tap_bytes = src.shape[1], rows * inner * size
+    term = np.empty((rows, 0), out.dtype)  # widened to the widest m a later tap asks for
 
     def add(t: int, col: int, m: int) -> None:
+        nonlocal term
         if not (0 <= t < n_taps and 0 <= col and 0 < m and col + m <= cols):
             raise IndexError(f"tap {t}, columns {col}:{col + m} outside {n_taps} taps, {cols} columns")
-        gemm(_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_NO_TRANS, rows, m, inner, 1.0,
-             a + t * tap_bytes, inner, b + (col + offsets[t]) * size, ldb, 1.0, c + col * size, cols)
+        window = src[:, col + offsets[t] : col + offsets[t] + m]
+        if t == 0:
+            product(taps[0], window, out=out[:, col : col + m])
+        elif gemm is not None:
+            gemm(_CBLAS_ROW_MAJOR, _CBLAS_NO_TRANS, _CBLAS_NO_TRANS, rows, m, inner, 1.0,
+                 a + t * tap_bytes, inner, b + (col + offsets[t]) * size, ldb, 1.0, c + col * size, cols)
+        else:
+            if term.shape[1] < m:
+                term = np.empty((rows, m), out.dtype)
+            product(taps[t], window, out=term[:, :m])
+            out[:, col : col + m] += term[:, :m]
 
-    add.operands = (taps, src, out)  # the buffers behind the pointers live as long as add
+    add.tile_rows = inner + rows * (1 if gemm is not None else 2)
     return add
 
 
@@ -417,23 +428,11 @@ def _correlate(xf: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1), dtype=dtype).reshape(k * k, c_out, c_in)
     xf = np.ascontiguousarray(xf, dtype=dtype)
     out = np.empty((c_out, grid), dtype=dtype)
-    # a GEMM with K = 1 is several times slower in OpenBLAS than a broadcast
-    # multiply, and its sum turns a -0.0 product into +0.0
-    add = _tap_gemm(taps, xf, offsets, out) if c_in > 1 else None
-    product = np.multiply if c_in == 1 else np.matmul
-    n = _tile_columns(c_in + c_out if add else c_in + 2 * c_out, dtype.itemsize)
-    term = None if add else np.empty((c_out, min(n, grid)), dtype=dtype)
+    add = _tap_gemm(taps, xf, offsets, out)
+    n = _tile_columns(add.tile_rows, dtype.itemsize)
     for c0 in range(0, grid, n):
-        acc = out[:, c0 : c0 + n]
-        m = acc.shape[1]
-        product(taps[0], xf[:, c0 : c0 + m], out=acc)
-        for t in range(1, k * k):
-            if add:
-                add(t, c0, m)
-            else:
-                src = c0 + offsets[t]
-                product(taps[t], xf[:, src : src + m], out=term[:, :m])
-                acc += term[:, :m]
+        for t in range(k * k):
+            add(t, c0, min(n, grid - c0))
     return out.reshape(c_out, b, h + k - 1, -1)[:, :, :h, :wd].transpose(1, 0, 2, 3)
 
 
@@ -569,24 +568,22 @@ def conv_transpose2d(
         g = held.pop()
         dtype = np.result_type(g, weight.data)
         taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1), dtype=dtype).reshape(4, c_in, c_out)
-        gx = gw = add = None
+        gx = gw = None
         if weight.requires_grad:
             xm = x.data.transpose(1, 0, 2, 3).reshape(c_in, -1)
             gw = np.empty(weight.shape, dtype=np.result_type(g, x.data))
         gt = np.empty((c_out, b, h, wd), dtype=dtype)
         flat = gt.reshape(c_out, -1)
+        if x.requires_grad:
+            gx = np.empty((c_in, flat.shape[1]), dtype=dtype)
+            add = _tap_gemm(taps, flat, (0,) * 4, gx)
         for t, (di, dj, win) in enumerate(_tap_windows(g, sh, sw, h, wd)):
             rows, cols = win.shape[2:]
             gt[:, :, rows:] = 0
             gt[:, :, :, cols:] = 0
             gt[:, :, :rows, :cols] = win.transpose(1, 0, 2, 3)
-            if x.requires_grad and gx is None:
-                gx = taps[t] @ flat
-                add = _tap_gemm(taps, flat, (0,) * 4, gx)
-            elif add:
+            if gx is not None:
                 add(t, 0, flat.shape[1])
-            elif x.requires_grad:
-                np.add(gx, taps[t] @ flat, out=gx)
             if gw is not None:
                 gw[:, :, di, dj] = xm @ flat.T
         if gx is not None:

@@ -19,6 +19,7 @@ from .io_formats import TomoFormatError, export_pgm, import_raw, read_tomo, read
 from .io_formats import write_atomic, write_tomo
 from .metrics import SCORES, MetricsReport, format_table
 from .osem import ReconConfig, osem
+from .projector import project
 from .simulate import (
     NOISE_LEVELS,
     PhantomRecipe,
@@ -72,8 +73,6 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_project(args) -> int:
-    from .projector import project
-
     image = read_tomo_as(getattr(args, "in"), Image)
     sino = project(
         image, args.angles, start_angle_deg=args.start, angular_range_deg=args.range
@@ -208,7 +207,8 @@ def _self_train(cfg: TrainConfig, args) -> str:
 
 
 def cmd_reproduce(args) -> int:
-    # every flag is checked before data is generated or a model trained
+    # every flag is checked, --size by the head phantom's sinograms, before
+    # the output directory is made or a model trained
     recon_cfg = ReconConfig(
         n_subsets=args.subsets, n_iterations=args.iters, image_size=args.size
     )
@@ -217,16 +217,13 @@ def cmd_reproduce(args) -> int:
     check_extents(_SPARSE_VIEWS, args.size)
     out_dir = Path(args.out) if args.out else _default_path("reproduce")
     train_cfg = None if args.model else _train_config(out_dir, args)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = args.model or _self_train(train_cfg, args)
-    model = load_checkpoint(model_path)
-
-    from .projector import project
-
     phantom = shepp_logan(args.size)
     reference = project(phantom, n_angles=_DENSE_VIEWS)
     sparse = subsample_views(reference, VIEW_FACTOR)
     noisy = apply_poisson(sparse, args.noise, args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    model_path = args.model or _self_train(train_cfg, args)
+    model = load_checkpoint(model_path)
 
     predicted, proposed, (rec_proposed, rec_standard) = compare(
         model_predictor(model), noisy, reference, phantom, recon_cfg

@@ -139,9 +139,9 @@ def _entry_bounds(n_stored: int, height: int, width: int, n_fov: int) -> list[in
 
     Along any ray a pixel's bilinear taps lie within |cos| + |sin| <= sqrt(2)
     bins of its detector coordinate, so a view's core rows hold at most 3
-    ray entries per pixel, weight-0 taps included, and its centre rows one
-    deficit: 4. A pixel whose balancing window the detector edge clips has
-    no centre entry but up to 6 core entries, all in its window. Its centre
+    ray entries per pixel, one per bin its taps reach, and its centre rows
+    one deficit: 4. A pixel whose balancing window the detector edge clips
+    has no centre entry but up to 6 core entries, all in its window. Its centre
     bin lies in one of two 6-bin strips at the detector edges, and the unit
     squares of the pixels in a strip lie in the strip widened by sqrt(2)/2
     on either side and in the image, so each strip holds at most
@@ -256,11 +256,10 @@ def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int) -> sp.c
     base = np.floor(s_pix + (n_bins - 1) / 2.0).astype(np.int64) - 2
 
     # one sum per (padded pixel, slot), the taps added tap by tap, each in
-    # sample order; every in-image tap makes an entry, weight 0 included.
+    # sample order; a nonzero sum, one with a nonzero tap, makes an entry.
     # A slot belongs to one bin, so its sum comes from one chunk of rays.
     grid = (height + 2, pw, _SLOTS)
     sums = np.zeros(np.prod(grid))
-    taps = np.zeros(np.prod(grid), dtype=np.int64)
     for first in range(0, n_bins, _CHUNK_BINS):
         bins = np.arange(first, min(first + _CHUNK_BINS, n_bins))
         offsets = bins - (n_bins - 1) / 2.0
@@ -290,10 +289,9 @@ def _view_matrix(theta_deg: float, height: int, width: int, n_bins: int) -> sp.c
             raise RuntimeError(f"a ray tap falls outside its pixel's {_SLOTS}-bin slot window")
         keys = (pix * _SLOTS + slot).ravel()
         sums += np.bincount(keys, vals.ravel(), sums.size)
-        taps += np.bincount(keys, None, taps.size)
 
     sums = sums.reshape(grid)[1:-1, 1:-1].ravel()
-    (nz,) = np.nonzero(taps.reshape(grid)[1:-1, 1:-1].ravel())  # pixel-major: one column per pixel
+    (nz,) = np.nonzero(sums)  # pixel-major: one column per pixel
     col = nz // _SLOTS
     rows = base.reshape(grid[:2])[1:-1, 1:-1].ravel()[col] + nz % _SLOTS
     indptr = np.searchsorted(col, np.arange(height * width + 1))
@@ -581,5 +579,4 @@ def project(
         image.height, image.width, n_angles, start_angle_deg, angular_range_deg
     )
     data = proj.forward(image.data) * image.pixel_size
-    data = np.maximum(data, 0.0)  # interpolation cannot go negative; guard round-off
     return Sinogram(data.astype(np.float32), start_angle_deg, angular_range_deg, image.pixel_size)

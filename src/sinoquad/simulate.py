@@ -24,7 +24,7 @@ import numpy as np
 from . import rng as rng_mod
 from .geometry import Image, Sinogram, fov_mask, fov_radius
 from .io_formats import write_manifest, write_tomo
-from .projector import project
+from .projector import _BYTES_BUDGET, project
 
 __all__ = [
     "NOISE_LEVELS",
@@ -68,6 +68,19 @@ _INTENSITY = (0.2, 1.0)
 _N_BLOBS = (0, 3)
 _BLOB_SIGMA_PX = (2.0, 8.0)
 _BLOB_INTENSITY = (0.2, 1.0)
+_SUPERSAMPLE = 2  # per axis, when rendering
+
+
+def _check_size(size: int, factor: int) -> None:
+    """Refuse a size below 16 px, or one whose render at factor would pass the projector's budget."""
+    if size < 16:
+        raise ValueError(f"size must be >= 16, got {size}")
+    # five float64 arrays over the supersampled grid: tracemalloc read 160 and
+    # 640 bytes per pixel at factor 2 and 4, flat from 128 to 512 px
+    render_bytes = 40 * (size * factor) ** 2
+    if render_bytes > _BYTES_BUDGET:
+        raise ValueError(f"size {size} would render with {render_bytes >> 20} MiB, "
+                         f"over the {_BYTES_BUDGET >> 20} MiB budget")
 
 
 @dataclass(frozen=True)
@@ -78,11 +91,7 @@ class PhantomRecipe:
     size: int = 128
 
     def __post_init__(self):
-        if self.size < 16:
-            raise ValueError(f"size must be >= 16, got {self.size}")
-
-
-_SUPERSAMPLE = 2
+        _check_size(self.size, _SUPERSAMPLE)
 
 
 def _supergrid(size: int, factor: int):
@@ -182,9 +191,8 @@ def shepp_logan(size: int = 128) -> Image:
     Rendered with 4x antialiasing so the pixel mass tracks the analytic
     ellipse areas closely. Row 0 is the top of the head.
     """
-    if size < 16:
-        raise ValueError(f"size must be >= 16, got {size}")
     factor = 4
+    _check_size(size, factor)
     scale = size / 2.0  # unit coordinates to pixels
     ellipses = []
     for val, a, b, x0, y0, rot in _SHEPP_LOGAN:
@@ -270,8 +278,8 @@ def make_dataset(
     min(jobs, count, CPUs) processes with the same output bytes.
     Returns the manifest path (out_dir/manifest.jsonl).
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count < 1 or jobs < 1:
+        raise ValueError(f"count and jobs must be >= 1, got {count} and {jobs}")
     if in_views < 1 or out_views < 1:
         raise ValueError(f"in_views and out_views must be >= 1, got {in_views} and {out_views}")
     if noise != "mixed":

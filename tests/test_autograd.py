@@ -430,28 +430,21 @@ class TestTapAccumulation:
             assert got.tobytes() == want.tobytes()
 
 
-class TestGemmPreCallCheck:
-    """A malformed accumulating GEMM raises before numpy's BLAS is ever called."""
+class PreCallChecks:
+    """A malformed tap accumulation raises before any product is formed.
+
+    A subclass's calls fixture records each BLAS GEMM call, or none where
+    numpy's GEMM is reported missing.
+    """
 
     SHAPE = (2, 3, 4, 5)  # [B, C_in, H, W] of a 3x3 correlation to 4 channels
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ag, "_gemm", lambda dtype: lambda *args: calls.append(args))
-        return calls
+    GEMMS_PER_LATER_TAP = 1
 
     def operands(self, rng):
         grid, offsets = ag._grid(self.SHAPE, 3)
         taps = rng.standard_normal((9, 4, 3)).astype(np.float32)
         src = rng.standard_normal((3, grid + offsets[-1])).astype(np.float32)
         return taps, src, offsets, np.zeros((4, grid), np.float32)
-
-    def test_stand_in_gets_every_later_tap(self, rng, calls):
-        x = rng.standard_normal(self.SHAPE).astype(np.float32)
-        ag._correlate(ag._ringed(x, 3), rng.standard_normal((4, 3, 3, 3)).astype(np.float32), self.SHAPE)
-        grid = ag._grid(self.SHAPE, 3)[0]
-        assert [args[3:6] for args in calls] == [(4, grid, 3)] * 8  # one tile: M, N, K of taps 1 to 8
 
     def test_ring_one_column_short_raises(self, rng, calls):
         x = rng.standard_normal(self.SHAPE).astype(np.float32)
@@ -480,12 +473,39 @@ class TestGemmPreCallCheck:
 
     @pytest.mark.parametrize("t,col,m", [(9, 0, 1), (-1, 0, 1), (1, -1, 1), (1, 0, 0), (1, 80, 5)])
     def test_call_outside_the_checked_extents_raises(self, rng, calls, t, col, m):
-        add = ag._tap_gemm(*self.operands(rng))
+        taps, src, offsets, out = self.operands(rng)
+        add = ag._tap_gemm(taps, src, offsets, out)
         with pytest.raises(IndexError):
             add(t, col, m)
-        assert calls == []
+        assert calls == [] and not out.any()
         add(8, 0, 84)
-        assert len(calls) == 1
+        assert len(calls) == self.GEMMS_PER_LATER_TAP
+
+
+class TestGemmPreCallCheck(PreCallChecks):
+    """The checks hold before numpy's BLAS is ever called."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ag, "_gemm", lambda dtype: lambda *args: calls.append(args))
+        return calls
+
+    def test_stand_in_gets_every_later_tap(self, rng, calls):
+        x = rng.standard_normal(self.SHAPE).astype(np.float32)
+        ag._correlate(ag._ringed(x, 3), rng.standard_normal((4, 3, 3, 3)).astype(np.float32), self.SHAPE)
+        grid = ag._grid(self.SHAPE, 3)[0]
+        assert [args[3:6] for args in calls] == [(4, grid, 3)] * 8  # one tile: M, N, K of taps 1 to 8
+
+
+class TestGemmPreCallCheckWithoutBlas(PreCallChecks):
+    """The same checks guard the product-then-add fallback, with numpy's GEMM reported missing."""
+
+    GEMMS_PER_LATER_TAP = 0
+
+    @pytest.fixture
+    def calls(self, no_blas):
+        return []  # no GEMM exists to be called
 
 
 class TestPoolActConcat:

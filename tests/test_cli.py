@@ -149,6 +149,21 @@ class TestExitCodes:
         assert code in (0, 1, 2), err
         assert err.count("error:") <= 1
 
+    @pytest.mark.parametrize("command,args", [
+        ("phantom", ["random"]), ("phantom", ["shepp-logan"]), ("dataset", ["--count", "1"]),
+        ("reproduce", ["--noise", "low"]), ("recon", ["--in", "sino.sptb"]),
+    ], ids=["phantom-random", "phantom-shepp-logan", "dataset", "reproduce", "recon"])
+    def test_huge_size_is_refused_before_any_output(self, tmp_path, capsys, monkeypatch, command, args):
+        # the render or the projector would need far more than the 1 GiB budget
+        monkeypatch.chdir(tmp_path)
+        sino = tmp_path / "sino.sptb"
+        write_tomo(sino, Sinogram(np.ones((16, 16), dtype=np.float32)))
+        code = main([command, *args, "--size", "100000", "--out", "out"])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: data:") and "100000" in err
+        assert sorted(tmp_path.iterdir()) == [sino]
+
     def test_key_error_is_internal(self, tmp_path, capsys, monkeypatch):
         # every reader checks its keys first, so a KeyError is a bug, not bad data
         def buggy(args):

@@ -42,7 +42,7 @@ class TestRecipe:
     def test_fields_are_seed_and_size(self):
         assert [f.name for f in dataclasses.fields(PhantomRecipe)] == ["seed", "size"]
 
-    @pytest.mark.parametrize("kwargs", [{"size": 8}])
+    @pytest.mark.parametrize("kwargs", [{"size": 8}, {"size": 2591}])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             PhantomRecipe(**kwargs)
@@ -116,6 +116,11 @@ class TestSheppLogan:
     def test_size_below_16_is_refused(self, size):
         with pytest.raises(ValueError, match=">= 16"):
             shepp_logan(size)
+
+    def test_size_past_the_render_budget_is_refused(self):
+        # 4x supersampling: 1296 px would render with more than 1 GiB
+        with pytest.raises(ValueError, match="size 1296 .* budget"):
+            shepp_logan(1296)
 
 
 class TestNoiseLevels:
@@ -316,6 +321,12 @@ class TestMakeDataset:
     def test_bad_count(self, tmp_path, count):
         with pytest.raises(ValueError, match="count"):
             make_dataset(PhantomRecipe(), count, "low", tmp_path)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            make_dataset(PhantomRecipe(size=16), 1, "low", tmp_path / "ds", jobs=jobs)
+        assert not (tmp_path / "ds").exists()
 
     def test_bad_noise_label(self, tmp_path):
         with pytest.raises(ValueError, match="noise"):
